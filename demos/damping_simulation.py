@@ -40,7 +40,7 @@ print(f"running N = {N} cells to t = {cfg.t_end} "
       f"(dt = {sim.dt:.2e}, energy equivalence constants {sim.equivalence[0]:.3g}"
       f" .. {sim.equivalence[1]:.3g})")
 raw = ds.run(cfg, u0, sim=sim)
-traj = ds.deflated_run(cfg, u0)
+traj = ds.deflated_run(cfg, u0, sim=sim)
 rep = ds.measure_decay(traj)
 
 print(f"  raw energy:      E(0) = {raw.energy[0]:.3e}, "
@@ -59,7 +59,7 @@ for n_cells in (256, 512):
     cfgN = ds.SimConfig(profile=p, cd=cd, weights=w, N=n_cells, t_end=60.0)
     simN = ds.setup(cfgN)
     u0N = ds.random_initial_data(simN.centers, p.X, seed=42)
-    repN = ds.measure_decay(ds.deflated_run(cfgN, u0N))
+    repN = ds.measure_decay(ds.deflated_run(cfgN, u0N, sim=simN))
     print(f"  N = {n_cells:4d}: theta = {repN.theta_fit:.4f}, "
           f"r^2 = {repN.r_squared:.5f}")
 
@@ -78,5 +78,5 @@ print()
 print("pure sonic-mode data needs no boundary input and still decays:")
 u0s = np.zeros((2, N))
 u0s[1] = 0.3 + np.sin(2 * np.pi * sim.centers / p.X)
-rep_s = ds.measure_decay(ds.deflated_run(cfg, u0s))
+rep_s = ds.measure_decay(ds.deflated_run(cfg, u0s, sim=sim))
 print(f"  theta = {rep_s.theta_fit:.4f}, r^2 = {rep_s.r_squared:.5f}")

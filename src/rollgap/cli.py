@@ -227,7 +227,7 @@ def _cmd_simulate(args, config):
     u0 = dampsim.random_initial_data(sim.centers, p.X, seed)
     deflate = not args.no_deflate and factor == 1.0 and xi == 0.0
     if deflate:
-        traj = dampsim.deflated_run(cfg, u0)
+        traj = dampsim.deflated_run(cfg, u0, sim=sim)
     else:
         traj = dampsim.run(cfg, u0, sim=sim)
     try:

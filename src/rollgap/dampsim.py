@@ -13,8 +13,13 @@ conservative form ``d_t u + d_x(alpha u) = (alpha' - gamma) u - beta u' + f``
 is used, with the sonic height placed on a cell interface so that the sonic
 flux vanishes identically and the upwind direction flips there: no
 information crosses the sonic interface, matching the characteristic
-picture.  Time stepping is strong-stability-preserving third-order
-Runge-Kutta under a CFL bound on the largest speed.
+picture.  The semi-discrete system is linear: on the state z = (u_1, u_2, y)
+of length 2N+1 it reads dz/dt = L z + f(t), with L one sparse operator
+assembled when the simulator is built (upwind divergence, reaction and
+coupling diagonals, the boundary trace entering through the inflow face of
+u_1, the shift row) and f the affine term of the forcings.  Time stepping
+is strong-stability-preserving third-order Runge-Kutta under a CFL bound on
+the largest speed.
 
 The monitored energy is
 
@@ -36,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ConfigurationError, HyperbolicityError, InvalidInputError
 from .rollwave import (
@@ -55,7 +61,7 @@ __all__ = [
     "run",
     "deflated_run",
     "measure_decay",
-    "upwind_flux_divergence",
+    "upwind_stencil",
 ]
 
 
@@ -96,21 +102,26 @@ def kawashima_K(cd: CharacteristicData, weights: DampingWeights | None = None,
     return K
 
 
-def upwind_flux_divergence(u, speeds_f, dx_c, inflow_left=0.0, inflow_right=0.0):
-    """Conservative first-order upwind flux divergence on one row of cells.
+def upwind_stencil(speeds_f, dx):
+    """First-order upwind discretization of ``-d_x(speed u)`` on one row of cells.
 
-    ``speeds_f`` holds the N+1 interface speeds; the donor cell is upstream
-    of each interface, with the two inflow values standing in for missing
-    neighbors when the boundary interface carries inflow.
+    ``speeds_f`` holds the N+1 interface speeds; the donor of each interface
+    is the cell upstream of it.  Returns ``(rows, cols, vals, w_left,
+    w_right)``: the COO triplets of the N x N operator with zero inflow, and
+    the weights with which an inflow value at the left or right boundary face
+    enters the first or last row (0 at a face that carries outflow).
     """
-    n = u.shape[0]
-    donors = np.empty(n + 1, dtype=u.dtype)
-    pos = speeds_f > 0
-    donors[1:][pos[1:]] = u[pos[1:]]
-    donors[1:][~pos[1:]] = np.concatenate([u[1:], [inflow_right]])[~pos[1:]]
-    donors[0] = inflow_left if pos[0] else u[0]
-    flux = speeds_f * donors
-    return (flux[1:] - flux[:-1]) / dx_c
+    s = np.asarray(speeds_f, dtype=float)
+    n = s.shape[0] - 1
+    faces = np.arange(n + 1)
+    donor = np.where(s > 0, faces - 1, faces)  # -1 and n stand for inflow
+    # face f bounds cells f - 1 and f
+    rows = np.concatenate([faces[:-1], faces[1:] - 1])
+    cols = np.concatenate([donor[:-1], donor[1:]])
+    vals = np.concatenate([s[:-1] / dx, -s[1:] / dx])
+    inside = (cols >= 0) & (cols < n)
+    return (rows[inside], cols[inside], vals[inside],
+            vals[cols < 0].sum(), vals[cols == n].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -237,30 +248,54 @@ class UpwindSimulator:
         self.a2_f = np.asarray(f.alpha2(faces), dtype=float)
         self.a2_f[self.i_sonic] = 0.0  # exact sonic interface
         xc = self.centers
-        self.c1 = np.asarray(f.alpha1_prime(xc) - f.gamma1(xc), dtype=float)
-        self.c2 = np.asarray(f.alpha2_prime(xc) - f.gamma2(xc), dtype=float)
-        self.b1 = np.asarray(f.beta1(xc), dtype=float)
-        self.b2 = np.asarray(f.beta2(xc), dtype=float)
+        c1 = np.asarray(f.alpha1_prime(xc) - f.gamma1(xc), dtype=float)
+        c2 = np.asarray(f.alpha2_prime(xc) - f.gamma2(xc), dtype=float)
+        b1 = np.asarray(f.beta1(xc), dtype=float)
+        b2 = np.asarray(f.beta2(xc), dtype=float)
 
         from .rollwave import jump_coefficients
 
-        self.jc = jump_coefficients(p, cfg.cd)
-        self.phase = np.exp(1j * cfg.floquet_xi * p.X)
-        self.is_real = abs(cfg.floquet_xi) < 1e-300 and cfg.forcing_F is None \
-            and cfg.forcing_G is None
-        self.dtype = np.float64 if self.is_real else np.complex128
+        jc = jump_coefficients(p, cfg.cd)
+        forced = cfg.forcing_F is not None or cfg.forcing_G is not None
+        is_real = abs(cfg.floquet_xi) < 1e-300 and not forced
+        self.dtype = np.float64 if is_real else np.complex128
+        # Floquet phase of traces referenced across the shock
+        ph = 1.0 if is_real else np.exp(1j * cfg.floquet_xi * p.X)
 
-        # rows of T^{-1} A0^{-1} at centers, with
+        # one sparse map from (z, F_1, F_2, G) to dz/dt, z = (u1, u2, y): its
+        # first 2N+1 columns are L and the rest give f(t).  The incoming u1
+        # trace at the right face is the boundary-trace row times that face's
+        # inflow weight.  F, in the physical w-coordinates, reaches the modes
+        # through the rows of T^{-1} A0^{-1}, with
         # T^{-1} = [[-1/(2phi), 1/2], [1/(2phi), 1/2]] and
         # A0^{-1} = [[1, 0], [-U/h, 1/h]]
         h = np.asarray(p.h_of_x(xc))
         U = p.c - p.q / h
         phi = p.model.froude * np.sqrt(h)
-        self.finv_rows = np.zeros((2, 2, N))
-        self.finv_rows[0, 0] = -1.0 / (2.0 * phi) - U / (2.0 * h)
-        self.finv_rows[0, 1] = 0.5 / h
-        self.finv_rows[1, 0] = 1.0 / (2.0 * phi) - U / (2.0 * h)
-        self.finv_rows[1, 1] = 0.5 / h
+        n = 2 * N + 1
+        cells, iy, iF, iG = np.arange(N), 2 * N, n, n + 2 * N
+        r1, k1, v1, _, w_in = upwind_stencil(self.a1_f, self.dx)
+        r2, k2, v2, _, _ = upwind_stencil(self.a2_f, self.dx)
+        blocks = [
+            (r1, k1, v1), (N + r2, N + k2, v2),
+            (cells, cells, c1), (cells, N + cells, -b1),
+            (N + cells, cells, -b2), (N + cells, N + cells, c2),
+            ([N - 1] * 6, [0, 2 * N - 1, N, iy, iG, iG + 1],
+             w_in * np.r_[cfg.a0_factor * jc.a0 * ph, jc.b0, jc.c0 * ph,
+                          jc.e0 * ph, ph * np.asarray(jc.d0)]),
+            ([iy] * 6, [iy, 0, N, 2 * N - 1, iG, iG + 1],
+             np.r_[jc.y_row_y, jc.y_row_u1_0, jc.y_row_u2_0,
+                   jc.y_row_u2_X * np.conj(ph), jc.y_row_G]),
+            (cells, iF + cells, -1.0 / (2.0 * phi) - U / (2.0 * h)),
+            (cells, iF + N + cells, 0.5 / h),
+            (N + cells, iF + cells, 1.0 / (2.0 * phi) - U / (2.0 * h)),
+            (N + cells, iF + N + cells, 0.5 / h),
+        ]
+        rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+        A = scipy.sparse.csr_array((vals.astype(self.dtype), (rows, cols)),
+                                   shape=(n, iG + 2))
+        self.L = A[:, :n]
+        self.forcing_map = A[:, n:] if forced else None
 
         speed = max(np.max(np.abs(self.a1_f)), np.max(np.abs(self.a2_f)))
         self.dt = cfg.cfl * np.min(self.dx) / speed
@@ -288,57 +323,24 @@ class UpwindSimulator:
         ]))[1]
         self.equivalence = (float(lo), float(hi))
 
-    # -- right-hand side -----------------------------------------------------
+    # -- time stepping -------------------------------------------------------
 
-    def boundary_trace(self, u1, u2, y, t):
-        jc = self.jc
-        ph = self.phase if not self.is_real else 1.0
-        g = np.zeros(2) if self.cfg.forcing_G is None else np.asarray(self.cfg.forcing_G(t))
-        val = (self.cfg.a0_factor * jc.a0 * ph * u1[0]
-               + jc.b0 * u2[-1]
-               + jc.c0 * ph * u2[0]
-               + ph * (jc.d0 @ g + jc.e0 * y))
-        return val
+    def forcing(self, t):
+        """The affine term f(t) of dz/dt = L z + f(t); 0 without forcings."""
+        if self.forcing_map is None:
+            return 0.0
+        cfg = self.cfg
+        F = (np.zeros((2, cfg.N)) if cfg.forcing_F is None
+             else np.asarray(cfg.forcing_F(self.centers, t)))
+        g = np.zeros(2) if cfg.forcing_G is None else np.asarray(cfg.forcing_G(t))
+        return self.forcing_map @ np.concatenate([F.ravel(), g])
 
-    def dydt(self, u1, u2, y, t):
-        jc = self.jc
-        phc = np.conj(self.phase) if not self.is_real else 1.0
-        g = np.zeros(2) if self.cfg.forcing_G is None else np.asarray(self.cfg.forcing_G(t))
-        return (jc.y_row_y * y
-                + jc.y_row_u1_0 * u1[0]
-                + jc.y_row_u2_0 * u2[0]
-                + jc.y_row_u2_X * phc * u2[-1]
-                + jc.y_row_G @ g)
-
-    def rhs(self, t, u1, u2, y):
-        u1_bc = self.boundary_trace(u1, u2, y, t)
-        div1 = upwind_flux_divergence(u1, self.a1_f, self.dx, inflow_right=u1_bc)
-        div2 = upwind_flux_divergence(u2, self.a2_f, self.dx)
-        du1 = -div1 + self.c1 * u1 - self.b1 * u2
-        du2 = -div2 + self.c2 * u2 - self.b2 * u1
-        if self.cfg.forcing_F is not None:
-            Fphys = np.asarray(self.cfg.forcing_F(self.centers, t))
-            du1 = du1 + self.finv_rows[0, 0] * Fphys[0] + self.finv_rows[0, 1] * Fphys[1]
-            du2 = du2 + self.finv_rows[1, 0] * Fphys[0] + self.finv_rows[1, 1] * Fphys[1]
-        return du1, du2, self.dydt(u1, u2, y, t)
-
-    def step(self, t, u1, u2, y):
-        """One SSP-RK3 step."""
-        dt = self.dt
-        k1 = self.rhs(t, u1, u2, y)
-        a1 = u1 + dt * k1[0]
-        a2 = u2 + dt * k1[1]
-        ay = y + dt * k1[2]
-        k2 = self.rhs(t + dt, a1, a2, ay)
-        b1 = 0.75 * u1 + 0.25 * (a1 + dt * k2[0])
-        b2 = 0.75 * u2 + 0.25 * (a2 + dt * k2[1])
-        by = 0.75 * y + 0.25 * (ay + dt * k2[2])
-        k3 = self.rhs(t + 0.5 * dt, b1, b2, by)
-        return (
-            u1 / 3.0 + 2.0 / 3.0 * (b1 + dt * k3[0]),
-            u2 / 3.0 + 2.0 / 3.0 * (b2 + dt * k3[1]),
-            y / 3.0 + 2.0 / 3.0 * (by + dt * k3[2]),
-        )
+    def step(self, t, z):
+        """One SSP-RK3 step of the state z = (u1, u2, y)."""
+        L, f, dt = self.L, self.forcing, self.dt
+        a = z + dt * (L @ z + f(t))
+        b = 0.75 * z + 0.25 * (a + dt * (L @ a + f(t + dt)))
+        return z / 3.0 + 2.0 / 3.0 * (b + dt * (L @ b + f(t + 0.5 * dt)))
 
     # -- norms and energy -----------------------------------------------------
 
@@ -378,44 +380,41 @@ def run(cfg: SimConfig, u0, y0=0.0, sim: UpwindSimulator | None = None) -> SimTr
     u0 = np.asarray(u0)
     if u0.shape != (2, cfg.N):
         raise InvalidInputError(f"initial data must have shape (2, {cfg.N})")
-    u1 = u0[0].astype(sim.dtype)
-    u2 = u0[1].astype(sim.dtype)
-    y = sim.dtype(y0)
+    z = np.concatenate([u0[0], u0[1], [y0]]).astype(sim.dtype)
 
     n_steps = int(np.ceil(cfg.t_end / sim.dt))
     out_every = max(1, n_steps // cfg.n_outputs)
-
-    times, l2s, h1s, es, ys, states = [], [], [], [], [], []
-    blew_up = False
-    blowup_time = None
     t = 0.0
-
-    def record():
-        l2, h1, en = sim.norms(u1, u2, y)
-        times.append(t)
-        l2s.append(l2)
-        h1s.append(h1)
-        es.append(en)
-        ys.append(complex(y))
-        states.append(SimState(t=t, u1=u1.copy(), u2=u2.copy(), y=complex(y),
-                               L2_norm=l2, H1_norm=h1, energy=en))
-        return l2
-
-    record()
+    blowup_time = None
+    # each step returns a new array, so the snapshots may hold views of z
+    states = [_snapshot(sim, t, z)]
     for k in range(n_steps):
-        u1, u2, y = sim.step(t, u1, u2, y)
+        z = sim.step(t, z)
         t += sim.dt
         if (k + 1) % out_every == 0 or k == n_steps - 1:
-            l2 = record()
+            states.append(_snapshot(sim, t, z))
+            l2 = states[-1].L2_norm
             if not np.isfinite(l2) or l2 > 1e12:
-                blew_up = True
                 blowup_time = t
                 break
+    return _trajectory(cfg, sim, states, blowup_time)
 
+
+def _snapshot(sim: UpwindSimulator, t, z) -> SimState:
+    N = sim.cfg.N
+    u1, u2, y = z[:N], z[N:2 * N], complex(z[2 * N])
+    l2, h1, en = sim.norms(u1, u2, y)
+    return SimState(t=t, u1=u1, u2=u2, y=y, L2_norm=l2, H1_norm=h1, energy=en)
+
+
+def _trajectory(cfg, sim, states, blowup_time=None) -> SimTrajectory:
     return SimTrajectory(
-        times=np.array(times), L2=np.array(l2s), H1=np.array(h1s),
-        energy=np.array(es), y=np.array(ys), states=states,
-        blew_up=blew_up, blowup_time=blowup_time, config=cfg,
+        times=np.array([s.t for s in states]),
+        L2=np.array([s.L2_norm for s in states]),
+        H1=np.array([s.H1_norm for s in states]),
+        energy=np.array([s.energy for s in states]),
+        y=np.array([s.y for s in states]), states=states,
+        blew_up=blowup_time is not None, blowup_time=blowup_time, config=cfg,
         equivalence=sim.equivalence,
     )
 
@@ -442,13 +441,9 @@ def random_initial_data(centers, X, seed, modes: int = 8):
     return out
 
 
-def _state_vector(s: SimState):
-    return np.concatenate([s.u1, s.u2, [s.y]])
-
-
-def deflated_run(cfg: SimConfig, u0, y0=0.0, snapshot_fraction: float = 0.25,
-                 n_snapshots: int = 12, rank_tol: float = 1e-9,
-                 max_rank: int = 8):
+def deflated_run(cfg: SimConfig, u0, y0=0.0, sim: UpwindSimulator | None = None,
+                 snapshot_fraction: float = 0.25, n_snapshots: int = 12,
+                 rank_tol: float = 1e-9, max_rank: int = 8):
     """Trajectory with the slow invariant family projected out.
 
     At the co-periodic phase the exact dynamics keeps a low-dimensional
@@ -460,42 +455,26 @@ def deflated_run(cfg: SimConfig, u0, y0=0.0, snapshot_fraction: float = 0.25,
     span.  The projection rank is chosen by singular value truncation and
     reported on the returned trajectory as ``deflation_rank``.
     """
-    sim = UpwindSimulator(cfg)
+    sim = sim or UpwindSimulator(cfg)
     main = run(cfg, u0, y0, sim=sim)
     if main.blew_up:
         return main
 
-    n_out = len(main.states)
+    # recorded states z = (u1, u2, y), one per row
+    Z = np.array([np.concatenate([s.u1, s.u2, [s.y]]) for s in main.states])
+    n_out = len(Z)
     start = int(n_out * (1.0 - snapshot_fraction))
     idx = np.unique(np.linspace(start, n_out - 1, n_snapshots).astype(int))
-    S = np.array([_state_vector(main.states[i]) for i in idx]).T
+    S = Z[idx].T
     scale = np.linalg.norm(S, axis=0).max()
     Q = None
     if scale > 0:
         U, sv, _ = np.linalg.svd(S, full_matrices=False)
         keep = sv > rank_tol * sv[0]
         Q = U[:, keep][:, :max_rank]
+        Z = Z - (Z @ Q.conj()) @ Q.T
 
-    N = cfg.N
-    l2s, h1s, es, ys, states = [], [], [], [], []
-    for s in main.states:
-        z = _state_vector(s)
-        if Q is not None:
-            z = z - Q @ (Q.conj().T @ z)
-        u1, u2, y = z[:N], z[N:2 * N], z[2 * N]
-        l2, h1, en = sim.norms(u1, u2, y)
-        l2s.append(l2)
-        h1s.append(h1)
-        es.append(en)
-        ys.append(y)
-        states.append(SimState(t=s.t, u1=u1, u2=u2, y=y, L2_norm=l2,
-                               H1_norm=h1, energy=en))
-    traj = SimTrajectory(
-        times=main.times, L2=np.array(l2s), H1=np.array(h1s),
-        energy=np.array(es), y=np.array(ys), states=states,
-        blew_up=False, blowup_time=None, config=cfg,
-        equivalence=main.equivalence,
-    )
+    traj = _trajectory(cfg, sim, [_snapshot(sim, s.t, z) for s, z in zip(main.states, Z)])
     traj.deflation_rank = 0 if Q is None else Q.shape[1]
     return traj
 

@@ -52,18 +52,22 @@ def _matrix_from_json_doc(doc) -> ComplexMatrix:
     raise InvalidInputError("matrix JSON entries must be rows of numbers or [re, im] pairs")
 
 
-def load_matrix(source) -> ComplexMatrix:
-    """Read a matrix from a path, open file, '-' (stdin), or literal text."""
+def _read_text(source, what) -> str:
+    """Text of an open file, of stdin for '-', or of the file at a path."""
     if hasattr(source, "read"):
-        text = source.read()
-    elif source == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except (OSError, TypeError):
-            text = str(source)
+        return source.read()
+    if source == "-":
+        return sys.stdin.read()
+    try:
+        with open(source) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {what} file {source!r}: {exc.strerror}") from exc
+
+
+def load_matrix(source) -> ComplexMatrix:
+    """Read a matrix from a path, an open file, or '-' (stdin)."""
+    text = _read_text(source, "matrix")
     text = text.strip()
     if not text:
         raise InvalidInputError("empty matrix input")
@@ -88,22 +92,32 @@ def load_matrix(source) -> ComplexMatrix:
 
 
 def load_scaling(source) -> DiagonalScaling:
-    """Read positive diagonal entries from JSON (list or {'s': [...]})."""
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        try:
-            with open(source) as fh:
-                doc = json.load(fh)
-        except (OSError, TypeError):
-            doc = json.loads(str(source))
+    """Read a diagonal scaling from JSON at a path, an open file, or '-'.
+
+    The key decides: ``{"s": [...]}`` or a bare list gives the positive
+    diagonal entries, ``{"logs": [...]}`` their logarithms, shifted so that
+    t_1 = 0.
+    """
+    try:
+        doc = json.loads(_read_text(source, "scaling"))
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"scaling JSON does not parse: {exc}") from exc
+    key = "s"
     if isinstance(doc, dict):
-        doc = doc.get("s", doc.get("logs"))
-        if doc is None:
-            raise InvalidInputError("scaling JSON must carry 's' or 'logs'")
-    vals = np.asarray(doc, dtype=float)
-    return DiagonalScaling.from_s(np.abs(vals)) if np.all(vals > 0) \
-        else DiagonalScaling(vals - vals[0])
+        keys = [k for k in ("s", "logs") if k in doc]
+        if len(keys) != 1:
+            raise InvalidInputError("scaling JSON must carry exactly one of 's' and 'logs'")
+        key = keys[0]
+        doc = doc[key]
+    try:
+        vals = np.asarray(doc, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError("scaling entries must be numbers") from exc
+    if vals.ndim != 1 or vals.size < 1:
+        raise InvalidInputError("scaling entries must be a nonempty list")
+    if key == "s":
+        return DiagonalScaling.from_s(vals)
+    return DiagonalScaling(vals - vals[0])
 
 
 def matrix_to_json_dict(M: ComplexMatrix):

@@ -865,7 +865,8 @@ def default_C0(p: RollWaveProfile, cd: CharacteristicData, epsilon: float,
                margin: float = 4.0) -> float:
     """Double C0 until the sonic boundary absorption dominates.
 
-    Both sonic boundary terms carry a good sign with strength proportional
+    Raises ``NumericalError`` unless the absorption per unit C0 is positive
+    and finite and the cross term is finite.  Both sonic boundary terms carry a good sign with strength proportional
     to C0; they must absorb the transverse boundary cross terms produced by
     the sonic traces in the boundary condition, whose size is set by the
     transverse end weight and the coefficients b0, c0.
@@ -880,6 +881,11 @@ def default_C0(p: RollWaveProfile, cd: CharacteristicData, epsilon: float,
     )
     bad = (abs(float(f.alpha1(p.X))) * float(w1.omega1_at(np.array([p.X]))[0])
            * (jc.b0**2 + jc.c0**2))
+    # with these bounds the doubling ends, at the latest when C0 overflows
+    if not (np.isfinite(good_unit) and good_unit > 0 and np.isfinite(bad)):
+        raise NumericalError(
+            f"no C0 absorbs the boundary cross terms: absorption per unit C0 "
+            f"{good_unit!r}, cross term {bad!r}")
     C0 = 1.0
     while C0 * good_unit < margin * bad:
         C0 *= 2.0

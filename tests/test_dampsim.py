@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from rollgap import dampsim as ds
 from rollgap import rollwave as rw
@@ -107,7 +108,7 @@ def test_kawashima_on_profile(setup_f3):
 
 
 def _advect_periodic(n, t_end):
-    """Constant-speed periodic advection with the production flux kernel."""
+    """Constant-speed periodic advection with the production upwind stencil."""
     x = (np.arange(n) + 0.5) / n
     dx = np.full(n, 1.0 / n)
     u = np.exp(np.sin(2 * np.pi * x))
@@ -117,10 +118,15 @@ def _advect_periodic(n, t_end):
     steps = int(round(t_end / dt))
     dt = t_end / steps
 
+    rows, cols, vals, w_left, w_right = ds.upwind_stencil(speeds_f, dx)
+    # periodic wrap: the last cell feeds the left inflow, the first the right
+    L = scipy.sparse.csr_array(
+        (np.concatenate([vals, [w_left, w_right]]),
+         (np.concatenate([rows, [0, n - 1]]), np.concatenate([cols, [n - 1, 0]]))),
+        shape=(n, n))
+
     def rhs(v):
-        # periodic wrap supplies both inflow ghosts
-        return -ds.upwind_flux_divergence(v, speeds_f, dx, inflow_left=v[-1],
-                                          inflow_right=v[0])
+        return L @ v
 
     for _ in range(steps):
         k1 = rhs(u)
@@ -280,17 +286,17 @@ def test_one_period_map_growth_oracle(setup_f3):
         rng = np.random.default_rng(8)
         u1 = rng.standard_normal(64)
         u2 = rng.standard_normal(64)
-        y = 0.1
+        z = np.concatenate([u1, u2, [0.1]])
         steps = int(np.ceil(p.X / sim.dt))
         growths = []
         for k in range(periods):
             t = 0.0
             for _ in range(steps):
-                u1, u2, y = sim.step(t, u1, u2, y)
+                z = sim.step(t, z)
                 t += sim.dt
-            norm = np.sqrt(np.sum(u1**2 + u2**2) + abs(y) ** 2)
+            norm = np.sqrt(np.sum(z**2))
             growths.append(norm)
-            u1, u2, y = u1 / norm, u2 / norm, y / norm
+            z = z / norm
         return np.median(growths[-10:])
 
     rep_idx = rw.stability_index(p, cd)
@@ -315,6 +321,28 @@ def test_bounded_forcing_bounded_energy(setup_f3):
     late = traj.energy[traj.times > 0.5 * traj.times[-1]]
     assert late.max() <= 1.05 * traj.energy.max()
     assert traj.energy.max() < 1e6
+
+
+def test_shock_forcing_drives_shift(setup_f3):
+    # constant forcing_G from the zero state: after one step the shift is
+    # dt * (y_row_G . g) to first order, and the boundary trace reaches only
+    # the cells next to the right face
+    p, cd, w = setup_f3
+    jc = rw.jump_coefficients(p, cd)
+    g = np.array([0.3, -0.7])
+    rel = []
+    for N in (64, 128):
+        cfg = ds.SimConfig(profile=p, cd=cd, weights=w, N=N, t_end=1.0,
+                           forcing_G=lambda t: g)
+        sim = ds.setup(cfg)
+        z = sim.step(0.0, np.zeros(2 * N + 1))
+        target = sim.dt * (jc.y_row_G @ g)
+        rel.append(abs(z[2 * N] - target) / abs(target))
+        assert np.all(z[:N - 3] == 0.0)
+        assert np.all(z[N:2 * N - 2] == 0.0)
+        assert np.any(z[N - 3:N] != 0.0)
+    assert rel[0] < 2e-3 and rel[1] < 1e-3
+    assert rel[1] < 0.6 * rel[0]  # the remainder is O(dt^2)
 
 
 def test_energy_norm_equivalence(setup_f3):

@@ -7,6 +7,7 @@ from rollgap import rollwave as rw
 from rollgap.errors import (
     InvalidInputError,
     NoRollWaveError,
+    NumericalError,
     StructuralAssumptionError,
 )
 
@@ -366,6 +367,14 @@ def test_default_c0_margin_rule(profile, chardata):
            * float(w.omega1_at(np.array([profile.X]))[0])
            * (jc.b0**2 + jc.c0**2))
     assert c0 * good >= 4.0 * bad
+
+
+def test_default_c0_rejects_vanishing_absorption(profile, chardata, monkeypatch):
+    eps = rw.default_epsilon(profile, chardata)
+    monkeypatch.setattr(chardata.fields, "alpha2",
+                        lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NumericalError):
+        rw.default_C0(profile, chardata, eps)
 
 
 def test_too_large_epsilon_advisory(profile, chardata):

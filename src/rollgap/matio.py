@@ -24,7 +24,6 @@ from .matgap import ComplexMatrix, DiagonalScaling
 __all__ = [
     "load_matrix",
     "load_scaling",
-    "matrix_to_json_dict",
     "dump_json",
     "profile_csv",
     "weights_csv",
@@ -118,16 +117,6 @@ def load_scaling(source) -> DiagonalScaling:
     if key == "s":
         return DiagonalScaling.from_s(vals)
     return DiagonalScaling(vals - vals[0])
-
-
-def matrix_to_json_dict(M: ComplexMatrix):
-    return {
-        "n": int(M.n),
-        "is_real": bool(M.is_real),
-        "entries": [
-            [[float(v.real), float(v.imag)] for v in row] for row in M.entries
-        ],
-    }
 
 
 def dump_json(obj, path=None) -> str:

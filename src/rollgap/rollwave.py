@@ -163,9 +163,6 @@ class RollWaveProfile:
             out[~left] = self._sol_right.sol(x[~left])[0]
         return float(out[0]) if scalar else out
 
-    def u_of_x(self, x):
-        return self.c - self.q / self.h_of_x(x)
-
     def rankine_hugoniot_residual(self):
         """Jump of f - c f0 across the shock, from the integrated end states."""
         hl = self.h_of_x(self.X)

@@ -1,5 +1,7 @@
 """Tests for the scaled-norm / phase-radius gap machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,9 @@ def test_type_normalizations():
         mg.DiagonalScaling([1.0, 0.0])
     with pytest.raises(InvalidInputError):
         mg.PhaseVector([0.5, 0.0])
+    for bad in ([], 2.0):
+        with pytest.raises(InvalidInputError):
+            mg.DiagonalScaling.from_s(bad)
     S = mg.DiagonalScaling.from_s([2.0, 4.0])
     assert S.logs[0] == 0.0
     assert S.s[1] / S.s[0] == pytest.approx(2.0)
@@ -146,6 +151,65 @@ def test_max_phase_rho_matches_grid_oracle():
         )
         assert v >= oracle - 1e-3
         assert v >= mg.spectral_radius(B) - 1e-10
+
+
+def test_phase_gradient_matches_central_differences():
+    rng = np.random.default_rng(11)
+    h = 1e-6
+    cases = [rand_complex(rng, n) for n in (2, 3, 4, 5)]
+    cases += [rng.standard_normal((n, n)) / np.sqrt(n) for n in (3, 5)]
+    for B in cases:
+        n = B.shape[0]
+        for _ in range(3):
+            tf = rng.uniform(0.0, 2.0 * np.pi, n - 1)
+            r, g = mg._rho_value_grad(B, tf)
+
+            def rho(t):
+                return mg.spectral_radius(np.exp(1j * np.concatenate(([0.0], t)))[:, None] * B)
+
+            assert r == pytest.approx(rho(tf), rel=1e-12)
+            fd = np.array([(rho(tf + h * e) - rho(tf - h * e)) / (2 * h) for e in np.eye(n - 1)])
+            np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-6 * r)
+
+
+@pytest.mark.parametrize("B, expected", [
+    ([[0.0, 1.0], [0.0, 0.0]], 0.0),
+    ([[1.0, 1.0], [0.0, 1.0]], 1.0),
+    ([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]], 2.0),
+])
+def test_max_phase_rho_defective_inputs(B, expected):
+    # at U = Id the top eigenvalue is zero or defective: no gradient exists
+    # there, it is returned as zero, and the search must neither raise nor
+    # produce NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, g = mg._rho_value_grad(np.asarray(B, dtype=complex), np.zeros(len(B) - 1))
+        v, U, conv = mg.max_phase_rho(B)
+    assert r == expected
+    assert np.all(g == 0.0)
+    assert v == pytest.approx(expected, abs=1e-12)
+    assert np.all(np.isfinite(U.angles))
+    assert conv
+
+
+def test_phase_gradient_zero_at_rounded_defective_eigenvalue():
+    # B - I is nonzero and nilpotent, so 1 is a defective double eigenvalue;
+    # rounding splits it into a pair with |y^* x| ~ 2e-8, whose gradient would
+    # read ~1e7 without the defective floor
+    B = np.array([[1 - 0.5j, 0.5j], [-0.5j, 1 + 0.5j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, g = mg._rho_value_grad(B, np.zeros(1))
+        v, U, conv = mg.max_phase_rho(B)
+    assert r == pytest.approx(1.0, abs=1e-7)
+    assert np.all(g == 0.0)
+    assert np.isfinite(v) and v >= 1.0
+
+
+def test_max_phase_rho_converged_on_ginibre_c3():
+    rng = np.random.default_rng(1)
+    flags = [mg.max_phase_rho(rand_complex(rng, 3))[2] for _ in range(20)]
+    assert all(flags)
 
 
 def test_gap_normal_matrix_zero():

@@ -18,6 +18,11 @@ exists, and the root is constructive; for real-symmetric collections on C^2
 the dichotomy extends to any number of forms.  Three or more independent
 complex forms can evade both (the mechanism behind the 4x4 gap matrix), in
 which case the searches report ``Undecided`` with diagnostics.
+
+:func:`certify_minimizer` first runs :func:`rollgap.matgap.dual_stationarity`,
+the test behind ``converged_S``: a stationary scaling admits no definite
+combination, so only the root side runs there, and the flag and the
+certificate decide with the same code.
 """
 
 from __future__ import annotations
@@ -130,7 +135,6 @@ class CertifyOptions:
     semi_tol: float = 1e-10
     def_starts: int = 64
     root_starts: int = 128
-    cluster_rtol: float = 1e-6
     seed: int = 0
 
 
@@ -139,33 +143,18 @@ def _hermitize(q):
     return 0.5 * (q + q.conj().T)
 
 
-def variational_forms(B, S: DiagonalScaling, cluster_rtol: float = 1e-6) -> HermitianFormSet:
+def variational_forms(B, S: DiagonalScaling) -> HermitianFormSet:
     """Build the restricted first-variation forms of the scaled norm at S.
 
-    The top cluster of ``B_S^* B_S`` (eigenvalues within ``cluster_rtol``
-    relative of the maximum) spans the subspace; each coordinate form is
-    ``Q_j = V^* (2 (B_S^* E_j B_S - ||B_S||^2 E_j)) V`` with V the
-    orthonormal cluster basis.
+    The top cluster of ``B_S^* B_S`` (eigenvalues within
+    ``matgap.CLUSTER_RTOL`` relative of the maximum) spans the subspace; each
+    coordinate form is ``Q_j = V^* (2 (B_S^* E_j B_S - ||B_S||^2 E_j)) V``
+    with V the orthonormal cluster basis (see
+    :func:`rollgap.matgap.top_cluster_forms`).
     """
     M = as_matrix(B)
-    BS = matgap.scale(M, S).entries
-    n = M.n
-    G = BS.conj().T @ BS
-    mu, vecs = np.linalg.eigh(_hermitize(G))
-    top = mu[-1]
-    if top <= 0.0:
-        # zero matrix: every direction is top, all forms vanish
-        V = np.eye(n, dtype=complex)
-        return HermitianFormSet(m=n, forms=[np.zeros((n, n), dtype=complex)] * n, basis=V)
-    keep = mu >= top * (1.0 - cluster_rtol)
-    V = vecs[:, keep]
-    m = V.shape[1]
-    W = BS @ V
-    forms = []
-    for j in range(n):
-        Q = 2.0 * (np.outer(W[j].conj(), W[j]) - top * np.outer(V[j].conj(), V[j]))
-        forms.append(_hermitize(Q))
-    return HermitianFormSet(m=m, forms=forms, basis=V)
+    V, forms = matgap.top_cluster_forms(matgap.scale(M, S).entries)
+    return HermitianFormSet(m=V.shape[1], forms=forms, basis=V)
 
 
 def independent_count(forms, rtol: float = 1e-9) -> int:
@@ -364,14 +353,18 @@ def form_pair_dichotomy(q1, q2, opts: CertifyOptions | None = None):
         combo = coeffs[0] * q1 + coeffs[1] * q2
         return DefiniteCombination(coeffs=coeffs, min_eig=_lambda_min(combo))
 
+    return _pair_root(q1, q2, opts, {"best_min_eig": best})
+
+
+def _pair_root(q1, q2, opts, diagnostics):
+    """Root side of the pair dichotomy: the constructive root, retried with
+    the root tolerance relaxed to 1e-6 for boundary cases."""
     root = common_root_2d(q1, q2, opts)
     if root is None:
-        # boundary mush: retry with a slack proportional to how close the
-        # best combination came to definiteness
         relaxed = CertifyOptions(**{**opts.__dict__, "root_tol": max(opts.root_tol, 1e-6)})
         root = common_root_2d(q1, q2, relaxed)
     if root is None:
-        return Undecided(diagnostics={"best_min_eig": best, "reason": "no root at boundary"})
+        return Undecided(diagnostics={**diagnostics, "reason": "no root at boundary"})
     residual = max(abs(float(np.real(root.conj() @ q @ root))) for q in (q1, q2))
     return CommonRoot(vector=root, residual=residual)
 
@@ -430,28 +423,31 @@ def _reconstruct_phases(BS, r):
 def certify_minimizer(B, S: DiagonalScaling, opts: CertifyOptions | None = None):
     """Certify a candidate scaling via the restricted variational forms.
 
-    One-dimensional clusters always decide (scalar forms are either all zero,
-    giving the root, or some scalar alone is a definite combination).
-    Two-dimensional clusters whose forms span at most two real directions
-    fall to the constructive pair dichotomy; richer spans and larger clusters
-    go through the numeric searches and may return ``Undecided`` with
-    diagnostics, which is the expected outcome on the genuine gap examples.
+    :func:`rollgap.matgap.dual_stationarity`, the test behind
+    ``converged_S``, runs first; a stationary scaling admits no definite
+    combination, so only the root side runs there.  One-dimensional clusters
+    always decide (the root, or the largest scalar form as the definite
+    combination).  Two-dimensional clusters whose forms span at most two real
+    directions fall to the constructive pair dichotomy; richer spans and
+    larger clusters go through the numeric searches and may return
+    ``Undecided`` with diagnostics, the expected outcome on the genuine gap
+    examples.
     """
     opts = opts or CertifyOptions()
     M = as_matrix(B)
-    F = variational_forms(M, S, opts.cluster_rtol)
+    F = variational_forms(M, S)
     BS = matgap.scale(M, S).entries
-    scale_norm = F.max_norm()
-    mu_scale = matgap.op_norm(ComplexMatrix(BS)) ** 2
+    stationary, _ = matgap.dual_stationarity(F.forms, matgap.op_norm(ComplexMatrix(BS)) ** 2)
+
+    def rooted(root, residual):
+        return CommonRoot(vector=root, residual=residual,
+                          phases=_reconstruct_phases(BS, F.basis @ root))
 
     if F.m == 1:
         vals = np.array([float(q[0, 0].real) for q in F.forms])
         residual = float(np.max(np.abs(vals)))
-        if residual <= max(opts.root_tol * max(mu_scale, 1.0), 1e-12):
-            root = np.array([1.0 + 0j])
-            r_full = F.basis @ root
-            return CommonRoot(vector=root, residual=residual,
-                              phases=_reconstruct_phases(BS, r_full))
+        if stationary:
+            return rooted(np.array([1.0 + 0j]), residual)
         j = int(np.argmax(np.abs(vals)))
         coeffs = np.zeros(len(vals))
         coeffs[j] = np.sign(vals[j])
@@ -462,14 +458,12 @@ def certify_minimizer(B, S: DiagonalScaling, opts: CertifyOptions | None = None)
     if k == 0:
         root = np.zeros(F.m, dtype=complex)
         root[0] = 1.0
-        r_full = F.basis @ root
-        return CommonRoot(vector=root, residual=0.0,
-                          phases=_reconstruct_phases(BS, r_full))
+        return rooted(root, 0.0)
 
     if F.m == 2 and k <= 2:
         g1 = basis[0]
         g2 = basis[1] if k == 2 else np.zeros((2, 2), dtype=complex)
-        cert = form_pair_dichotomy(g1, g2, opts)
+        cert = _pair_root(g1, g2, opts, {}) if stationary else form_pair_dichotomy(g1, g2, opts)
         if isinstance(cert, DefiniteCombination):
             # map coefficients on the orthonormal pair back to the originals
             full = cert.coeffs[0] * coeffs[0]
@@ -478,20 +472,17 @@ def certify_minimizer(B, S: DiagonalScaling, opts: CertifyOptions | None = None)
             return DefiniteCombination(coeffs=np.real(full), min_eig=cert.min_eig)
         if isinstance(cert, CommonRoot):
             root = cert.vector
-            residual = max(abs(float(np.real(root.conj() @ q @ root))) for q in F.forms)
-            r_full = F.basis @ root
-            return CommonRoot(vector=root, residual=residual,
-                              phases=_reconstruct_phases(BS, r_full))
+            return rooted(root, max(abs(float(np.real(root.conj() @ q @ root))) for q in F.forms))
         return cert
 
-    found = definite_combination_search(F, opts)
-    if found is not None:
-        return DefiniteCombination(coeffs=found[0], min_eig=found[1])
+    if not stationary:
+        found = definite_combination_search(F, opts)
+        if found is not None:
+            return DefiniteCombination(coeffs=found[0], min_eig=found[1])
+    scale_norm = F.max_norm()
     v, residual = numeric_common_root(F.forms, opts)
     if residual <= opts.root_tol * max(scale_norm, 1e-300):
-        r_full = F.basis @ v
-        return CommonRoot(vector=v, residual=residual,
-                          phases=_reconstruct_phases(BS, r_full))
+        return rooted(v, residual)
     return Undecided(diagnostics={
         "m": F.m,
         "independent_forms": k,

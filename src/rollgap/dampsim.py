@@ -165,12 +165,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """Snapshot of the discrete state with its norms."""
+    """Snapshot of the discrete state, in the simulator dtype, with its norms."""
 
     t: float
     u1: np.ndarray
     u2: np.ndarray
-    y: complex
+    y: float | complex
     L2_norm: float
     H1_norm: float
     energy: float
@@ -402,7 +402,7 @@ def run(cfg: SimConfig, u0, y0=0.0, sim: UpwindSimulator | None = None) -> SimTr
 
 def _snapshot(sim: UpwindSimulator, t, z) -> SimState:
     N = sim.cfg.N
-    u1, u2, y = z[:N], z[N:2 * N], complex(z[2 * N])
+    u1, u2, y = z[:N], z[N:2 * N], z[2 * N]
     l2, h1, en = sim.norms(u1, u2, y)
     return SimState(t=t, u1=u1, u2=u2, y=y, L2_norm=l2, H1_norm=h1, energy=en)
 

@@ -18,10 +18,12 @@ quantity), and the explicit example matrices used in the golden tests.
 
 Scalings are parametrized as ``s_j = exp(t_j)`` with ``t_1 = 0``; both
 objectives depend only on the ratios ``s_j / s_k``, so this normalization is
-free.  The norm objective is minimized on a smoothed surrogate (log-sum-exp
-over squared singular values with the temperature annealed toward zero)
-because the largest singular value may be multiple at the minimizer, where
-the plain objective is not differentiable.
+free.  The norm objective, convex in the logs, is minimized by one anneal of
+a smoothed surrogate (log-sum-exp over squared singular values with the
+temperature lowered toward zero) because the largest singular value may be
+multiple at the minimizer, where the plain objective is not differentiable.
+Optimality is decided by convex duality in :func:`dual_stationarity`, the
+test that :mod:`rollgap.certify` runs too.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ __all__ = [
     "scale",
     "phase_apply",
     "min_scaled_norm",
+    "top_cluster_forms",
+    "dual_stationarity",
     "max_phase_rho",
     "gap",
     "reduce_graph",
@@ -64,9 +68,13 @@ __all__ = [
 ]
 
 MAX_DIM = 16
-# max_phase_rho reports convergence when its exact gradient is at most this
-# times the value in every coordinate
-PHASE_GRAD_RTOL = 1e-6
+# both convergence flags decide with this relative tolerance: max_phase_rho's
+# exact gradient must be at most this times the value in every coordinate,
+# and dual_stationarity's residual at most this times the squared norm
+STATIONARY_RTOL = 1e-6
+# squared singular values within this fraction of the largest one form the
+# top cluster
+CLUSTER_RTOL = 1e-6
 # |y^* x| of the unit left/right top eigenvectors below which the top
 # eigenvalue is treated as defective and its phase gradient as zero.  Rounding
 # splits a defective double eigenvalue into a pair with |y^* x| of order
@@ -265,21 +273,18 @@ class BlockStructure:
 class GapOptions:
     """Tunable knobs for the two searches.
 
-    ``log_bound`` caps ``|t_j|``; iterates pinned at the cap signal an
-    infimum that is only approached along diverging scalings (nilpotent-type
-    matrices), reported with ``converged=False``.  ``restarts`` bounds the
-    number of local ascents for the phase search; the coarse grid uses 12
-    points per angle unless that would exceed ``grid_cap`` evaluations.
+    ``log_bound`` caps ``|t_j|`` in the single anneal of the scaling search;
+    iterates pinned at the cap signal an infimum that is only approached
+    along diverging scalings (nilpotent-type matrices), reported with
+    ``converged=False``.  ``restarts`` bounds the number of local ascents
+    for the phase search; the coarse grid uses 12 points per angle unless
+    that would exceed ``grid_cap`` evaluations.
     """
 
-    grad_tol: float = 1e-8
     log_bound: float = 40.0
     restarts: int = 64
-    s_restarts: int = 2
     grid_points: int = 12
     grid_cap: int = 20736
-    tol: float = 1e-8
-    cluster_rtol: float = 1e-6
     seed: int = 0
 
 
@@ -354,51 +359,67 @@ def _softmax_value_grad(A, t, tau):
     return val, grad
 
 
-def _stationarity_residual(BS):
-    """Per-coordinate first-variation residual at a simple top singular value.
+def top_cluster_forms(BS):
+    """Top singular cluster of ``B_S`` and its first-variation forms.
 
-    Returns ``max_j | |(B_S r)_j|^2 - ||B_S||^2 |r_j|^2 | / ||B_S||^2`` where
-    r is the top right-singular vector; this vanishes at critical scalings.
+    Returns ``(V, forms)``: V is an orthonormal basis (n x m) of the
+    eigenvectors of ``B_S^* B_S`` whose eigenvalues lie within
+    ``CLUSTER_RTOL`` relative of the largest one, mu, and ``forms[j] = V^*
+    (2 (B_S^* E_j B_S - mu E_j)) V`` with E_j the coordinate projectors.  At
+    the zero matrix every direction is top and all forms vanish.
     """
-    U, sv, Vh = np.linalg.svd(BS)
-    r = Vh[0].conj()
-    Br = BS @ r
-    mu = sv[0] ** 2
-    if mu == 0.0:
-        return 0.0
-    return float(np.max(np.abs(np.abs(Br) ** 2 - mu * np.abs(r) ** 2)) / mu)
+    n = BS.shape[0]
+    G = BS.conj().T @ BS
+    mu, vecs = np.linalg.eigh(0.5 * (G + G.conj().T))
+    top = mu[-1]
+    if top <= 0.0:
+        return np.eye(n, dtype=complex), [np.zeros((n, n), dtype=complex)] * n
+    V = vecs[:, mu >= top * (1.0 - CLUSTER_RTOL)]
+    W = BS @ V
+    return V, [2.0 * (np.outer(W[j].conj(), W[j]) - top * np.outer(V[j].conj(), V[j]))
+               for j in range(n)]
 
 
-def _top_multiplicity(BS, rtol):
-    sv = np.linalg.svd(BS, compute_uv=False)
-    mu = sv * sv
-    if mu[0] == 0.0:
-        return mu.size
-    return int(np.sum(mu >= mu[0] * (1.0 - rtol)))
+def dual_stationarity(forms, mu):
+    """Decide whether the scaling that produced ``forms`` is a minimizer.
 
-
-def _cluster_mean_grad(BS, rtol):
-    """Gradient of the mean of the top singular-value cluster in the logs.
-
-    Averaging over the cluster makes the quantity independent of the basis
-    LAPACK picks inside a multiple singular subspace; it vanishes at critical
-    scalings whose top cluster is stationary on average.
+    The squared norm is convex in the logs, and its subdifferential at a
+    scaling is ``{(<Q_j, X>)_j : X >= 0, tr X = 1}`` over the top-cluster
+    forms Q_j (Lewis & Overton, Acta Numerica 1996), so the scaling is a
+    minimizer exactly when some trace-one X >= 0 is annihilated by every
+    form.  The test takes the trace-one Hermitian X nearest ``I/m`` with
+    ``<Q_j, X> = 0`` in the least-squares sense and returns ``(stationary,
+    X)``, where ``stationary`` means ``max_j |<Q_j, X>| <= STATIONARY_RTOL *
+    mu`` and ``lambda_min(X) >= -STATIONARY_RTOL``.  At m = 1 this is the
+    scalar test ``max_j |Q_j| <= STATIONARY_RTOL * mu``; at m = 2 it is
+    exact, since the trace-one PSD 2x2 matrices are a ball about I/2; at
+    m >= 3 a pass is a proof and a fail means "not verified".
     """
-    U, sv, Vh = np.linalg.svd(BS)
-    mu = sv * sv
-    m = _top_multiplicity(BS, rtol)
-    dmu = 2.0 * mu[None, :m] * (np.abs(U[:, :m]) ** 2 - np.abs(Vh[:m, :].T) ** 2)
-    return dmu.mean(axis=1)
+    Q = np.asarray(forms)
+    n, m = Q.shape[0], Q.shape[1]
+    tr = np.trace(Q, axis1=1, axis2=2).real
+    # X = I/m + Y with Y traceless: <Q_j, X> = tr(Q_j)/m + <Q_j - tr(Q_j) I/m, Y>
+    Qt = Q - (tr / m)[:, None, None] * np.eye(m)
+    A = np.concatenate([Qt.real.reshape(n, -1), Qt.imag.reshape(n, -1)], axis=1)
+    y = np.linalg.lstsq(A, -tr / m, rcond=None)[0]
+    Y = (y[: m * m] + 1j * y[m * m:]).reshape(m, m)
+    X = np.eye(m) / m + 0.5 * (Y + Y.conj().T)
+    residual = float(np.max(np.abs(np.einsum("jkl,kl->j", Q.conj(), X).real)))
+    lam = float(np.linalg.eigvalsh(X)[0])
+    return residual <= STATIONARY_RTOL * mu and lam >= -STATIONARY_RTOL, X
 
 
 def min_scaled_norm(B, opts: GapOptions | None = None):
     """Minimize ``||S B S^{-1}||`` over positive diagonal scalings.
 
-    Returns ``(value, S, multiplicity, converged)``.  The search anneals a
-    log-sum-exp smoothing of the squared-norm objective toward zero
-    temperature inside the box ``|t_j| <= log_bound``; iterates pinned at the
-    box edge mean the infimum is approached only along diverging scalings and
-    are reported with ``converged=False``.
+    Returns ``(value, S, multiplicity, converged)``.  One anneal from S = Id
+    lowers the temperature of a log-sum-exp smoothing of the squared-norm
+    objective toward zero inside the box ``|t_j| <= log_bound``; the log-norm
+    is convex in the logs (Sezginer & Overton, IEEE TAC 1990), so further
+    starts buy nothing.  ``multiplicity`` is the size of the top singular
+    cluster, and ``converged`` means that no log hit the box edge (which
+    would mean the infimum is approached only along diverging scalings) and
+    that :func:`dual_stationarity` holds at the returned scaling.
     """
     opts = opts or GapOptions()
     M = as_matrix(B)
@@ -414,50 +435,26 @@ def min_scaled_norm(B, opts: GapOptions | None = None):
 
     bound = opts.log_bound
     bounds = [(-bound, bound)] * (n - 1)
-    schedule = [1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8]
-    rng = np.random.default_rng(opts.seed)
+    t = np.zeros(n - 1)
+    for frac in [1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8]:
+        tau = max(frac * scale0, 1e-300)
 
-    def embed(tfree):
-        return np.concatenate(([0.0], tfree))
+        def fun(tf, tau=tau):
+            val, g = _softmax_value_grad(A, np.concatenate(([0.0], tf)), tau)
+            return val, g[1:]
 
-    def anneal(t0):
-        t = np.asarray(t0, dtype=float)
-        for frac in schedule:
-            tau = max(frac * scale0, 1e-300)
+        t = scipy.optimize.minimize(
+            fun, t, jac=True, method="L-BFGS-B", bounds=bounds,
+            options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-12},
+        ).x
 
-            def fun(tf, tau=tau):
-                val, g = _softmax_value_grad(A, embed(tf), tau)
-                return val, g[1:]
-
-            res = scipy.optimize.minimize(
-                fun, t, jac=True, method="L-BFGS-B", bounds=bounds,
-                options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-12},
-            )
-            t = res.x
-        return t
-
-    best = None
-    starts = [np.zeros(n - 1)]
-    starts += [0.5 * rng.standard_normal(n - 1) for _ in range(max(0, opts.s_restarts - 1))]
-    for t0 in starts:
-        tfull = embed(anneal(t0))
-        value = op_norm(ComplexMatrix(_scaled(A, tfull)))
-        if best is None or value < best[0]:
-            best = (value, tfull)
-
-    value, tfull = best
+    tfull = np.concatenate(([0.0], t))
     BS = _scaled(A, tfull)
-    mult = _top_multiplicity(BS, opts.cluster_rtol)
-    mu_top = value * value
+    value = op_norm(ComplexMatrix(BS))
+    V, forms = top_cluster_forms(BS)
     bound_hit = bool(np.any(np.abs(tfull) >= bound - 1e-9))
-    if bound_hit:
-        converged = False
-    elif mult == 1:
-        converged = _stationarity_residual(BS) <= opts.grad_tol
-    else:
-        mean_grad = _cluster_mean_grad(BS, opts.cluster_rtol)
-        converged = float(np.max(np.abs(mean_grad))) <= 10.0 * opts.grad_tol * mu_top
-    return float(value), DiagonalScaling(tfull), mult, bool(converged)
+    converged = not bound_hit and dual_stationarity(forms, value * value)[0]
+    return float(value), DiagonalScaling(tfull), V.shape[1], bool(converged)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +504,7 @@ def max_phase_rho(B, opts: GapOptions | None = None):
     genuine local maxima, so the grid plus restarts is not optional.
     ``value >= rho(B)`` always, since U = Id is a feasible point.
     ``converged`` means stationarity: the exact gradient at the returned
-    angles is at most ``PHASE_GRAD_RTOL * value`` in every coordinate.  Where
+    angles is at most ``STATIONARY_RTOL * value`` in every coordinate.  Where
     two top eigenvalue moduli tie at the maximum, rho is not differentiable
     and the flag may be false.
     """
@@ -553,7 +550,7 @@ def max_phase_rho(B, opts: GapOptions | None = None):
                 best_theta = cand_theta
 
     _, g = _rho_value_grad(A, best_theta)
-    converged = float(np.max(np.abs(g))) <= PHASE_GRAD_RTOL * best_val
+    converged = float(np.max(np.abs(g))) <= STATIONARY_RTOL * best_val
     theta_full = np.concatenate(([0.0], best_theta))
     return float(best_val), PhaseVector(theta_full), bool(converged)
 

@@ -21,6 +21,18 @@ def form_value(q, v):
     return float(np.real(v.conj() @ q @ v))
 
 
+def criterion2_ensemble():
+    """The 400 matrices of acceptance criterion 2, in its order."""
+    rng = np.random.default_rng(20260811)
+    for n in (2, 3):
+        for _ in range(100):
+            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            yield A / np.sqrt(2 * n)
+    for n in (2, 3, 4, 5):
+        for _ in range(50):
+            yield rng.standard_normal((n, n)) / np.sqrt(n)
+
+
 # ---------------------------------------------------------------------------
 # variational forms
 # ---------------------------------------------------------------------------
@@ -206,6 +218,23 @@ def test_dichotomy_exclusive_on_random_real_pairs():
     assert counts["common-root"] > 0
 
 
+def test_dual_stationarity_exact_for_pairs():
+    # trace-one PSD 2x2 matrices form a ball about I/2, so at m = 2 the
+    # stationarity test fails exactly when the pair dichotomy finds a
+    # definite combination
+    rng = np.random.default_rng(12)
+    counts = {True: 0, False: 0}
+    for _ in range(300):
+        pair = [rand_sym(rng).astype(complex) for _ in range(2)]
+        ok, X = mg.dual_stationarity(pair, 1.0)
+        assert ok == (cf.form_pair_dichotomy(*pair).kind != "definite-combination")
+        counts[ok] += 1
+        if ok:
+            assert max(abs(np.trace(q @ X).real) for q in pair) < 1e-6
+            assert np.linalg.eigvalsh(X)[0] > -1e-6
+    assert min(counts.values()) > 0
+
+
 # ---------------------------------------------------------------------------
 # certify_minimizer
 # ---------------------------------------------------------------------------
@@ -226,6 +255,63 @@ def test_certify_random_2x2_common_root_with_phases():
         assert abs(rho - mg.op_norm(BS)) < 1e-8
         hits += 1
     assert hits >= 5
+
+
+def test_certify_ginibre_c3_converged_common_root():
+    # the first 50 inputs of the ginibre-c3 benchmark pool at seed 1
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        B = rand_complex(rng, 3)
+        _, S, _, conv = mg.min_scaled_norm(B)
+        assert conv
+        assert cf.certify_minimizer(B, S).kind == "common-root"
+
+
+def test_certify_perturbed_argmin_definite_combination():
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        B = rand_complex(rng, 3)
+        v, S, mult, conv = mg.min_scaled_norm(B)
+        assert conv and mult == 1
+        off = mg.DiagonalScaling(S.logs + np.concatenate(([0.0], 1e-3 * rng.standard_normal(2))))
+        F = cf.variational_forms(B, off)
+        BS = mg.scale(B, off)
+        assert not mg.dual_stationarity(F.forms, mg.op_norm(BS) ** 2)[0]
+        cert = cf.certify_minimizer(B, off)
+        assert cert.kind == "definite-combination"
+        # re-verify from scratch: the combination is positive definite
+        combo = sum(c * q for c, q in zip(cert.coeffs, F.forms))
+        assert np.linalg.eigvalsh(combo)[0] > 0
+
+
+def test_certify_scale_free():
+    # the decision is relative to ||B_S||^2 only, so scaling B by 1e-3
+    # changes no certificate kind, at the argmin or off it
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        B = rand_complex(rng, 3)
+        _, S, _, _ = mg.min_scaled_norm(B)
+        off = mg.DiagonalScaling(S.logs + np.concatenate(([0.0], 1e-4 * rng.standard_normal(2))))
+        for T in (S, off):
+            kinds = [cf.certify_minimizer(c * B, T).kind for c in (1.0, 1e-3)]
+            assert kinds[0] == kinds[1]
+        assert cf.certify_minimizer(1e-3 * B, off).kind == "definite-combination"
+
+
+def test_converged_flag_and_certificate_agree_on_criterion2():
+    # converged_S and certify_minimizer run the same stationarity test: a
+    # converged scaling never gets a definite combination, and at m = 1 the
+    # flag holds exactly when the certificate is a common root.  Eight root
+    # starts keep it fast; no assertion depends on how the root side ends
+    opts = cf.CertifyOptions(root_starts=8)
+    for B in criterion2_ensemble():
+        _, S, mult, conv = mg.min_scaled_norm(B)
+        if not conv and mult > 1:
+            continue
+        kind = cf.certify_minimizer(B, S, opts).kind
+        assert not (conv and kind == "definite-combination")
+        if mult == 1:
+            assert conv == (kind == "common-root")
 
 
 def test_certify_c4_undecided_with_floor():

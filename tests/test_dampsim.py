@@ -262,6 +262,21 @@ def test_sonic_only_data_decays(setup_f3):
     assert rep.r_squared > 0.99
 
 
+def test_real_deflation_stays_real(setup_f3):
+    # at xi = 0 with no forcing the dynamics is real, and so is every
+    # recorded and deflated state
+    p, cd, w = setup_f3
+    cfg = ds.SimConfig(profile=p, cd=cd, weights=w, N=64, t_end=10.0, n_outputs=60)
+    sim = ds.setup(cfg)
+    assert sim.dtype == np.float64
+    traj = ds.deflated_run(cfg, smooth_random(sim.centers, p.X, 5), sim=sim)
+    assert traj.deflation_rank > 0
+    assert traj.y.dtype == np.float64
+    for s in traj.states:
+        assert s.u1.dtype == np.float64 and s.u2.dtype == np.float64
+        assert isinstance(s.y, np.float64)
+
+
 def test_synthetic_instability_grows(setup_f3):
     p, cd, w = setup_f3
     rep_idx = rw.stability_index(p, cd)

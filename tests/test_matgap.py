@@ -286,6 +286,37 @@ def test_stationarity_at_reported_minimizer():
         assert res < 1e-8 * sv[0] ** 2
 
 
+def test_dual_stationarity_scalar_cluster():
+    # at m = 1 the test is max_j |Q_j| <= 1e-6 mu, relative to mu only
+    for mu in (1.0, 1e-6):
+        assert mg.dual_stationarity([np.array([[0.9e-6 * mu]]), np.array([[-0.9e-6 * mu]])], mu)[0]
+        assert not mg.dual_stationarity([np.array([[2e-6 * mu]]), np.array([[-2e-6 * mu]])], mu)[0]
+
+
+def test_dual_stationarity_c4_identity():
+    B, _, _ = mg.counterexample_c4()
+    V, forms = mg.top_cluster_forms(B.entries)
+    ok, X = mg.dual_stationarity(forms, 1.0)
+    assert V.shape[1] == 2 and ok
+    assert np.max(np.abs(X - np.eye(2) / 2)) < 1e-10
+
+
+def test_dual_stationarity_definite_form_fails():
+    # a positive definite form annihilates no PSD X
+    assert not mg.dual_stationarity([np.eye(2, dtype=complex), -np.eye(2, dtype=complex)], 1.0)[0]
+
+
+def test_min_scaled_norm_converged_at_double_top_real_3x3():
+    rng = np.random.default_rng(13)
+    doubles = 0
+    for _ in range(60):
+        _, _, mult, conv = mg.min_scaled_norm(rng.standard_normal((3, 3)) / np.sqrt(3))
+        if mult == 2:
+            doubles += 1
+            assert conv
+    assert doubles >= 5
+
+
 # ---------------------------------------------------------------------------
 # graph reduction
 # ---------------------------------------------------------------------------

@@ -237,9 +237,9 @@ def _cmd_simulate(args, config):
         doc = rep.to_dict()
     except InvalidInputError:
         # trajectory truncated by blow-up before a fit was possible
-        doc = {"theta_fit": 0.0, "r_squared": 0.0, "slaving_constant": 0.0,
-               "eta1_used": float(w.eta1), "epsilon_used": float(eps),
-               "deflated": False}
+        doc = dampsim.DecayReport(
+            theta_fit=0.0, r_squared=0.0, slaving_constant=0.0,
+            eta1_used=w.eta1, epsilon_used=eps, deflated=False).to_dict()
     doc.update({
         "froude": froude, "N": N, "t_end": t_end, "floquet_xi": xi,
         "a0_factor": factor, "blew_up": bool(traj.blew_up),

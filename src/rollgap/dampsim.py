@@ -30,9 +30,10 @@ cancels the beta cross couplings.  At the co-periodic phase the exact system
 carries a small invariant family (the translation of the wave and, through
 mass conservation, one generalized direction, plus possible sonic-resonance
 remnants); the energy estimate slaves these to the L^2 and shift norms
-rather than damping them, so decay-rate measurements first project the
-trajectory onto its fast part by subtracting the span of a few slow seed
-trajectories fitted at late times.
+rather than damping them.  In the discrete operator the family is the
+cluster of eigenvalues of L nearest 0, separated from the rest of the
+spectrum by a jump in modulus, so decay-rate measurements first remove it
+with the spectral projector of L onto that cluster.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
-from .errors import ConfigurationError, HyperbolicityError, InvalidInputError
+from .errors import (ConfigurationError, HyperbolicityError, InvalidInputError,
+                     NumericalError)
 from .rollwave import (
     CharacteristicData,
     DampingWeights,
@@ -59,6 +62,7 @@ __all__ = [
     "setup",
     "UpwindSimulator",
     "run",
+    "slow_family",
     "deflated_run",
     "measure_decay",
     "upwind_stencil",
@@ -161,6 +165,8 @@ class SimConfig:
             raise ConfigurationError("CFL number must lie in (0, 1)")
         if self.t_end <= 0:
             raise ConfigurationError("t_end must be positive")
+        if self.n_outputs < 1:
+            raise ConfigurationError("need at least one output")
 
 
 @dataclass(frozen=True)
@@ -189,6 +195,7 @@ class SimTrajectory:
     config: SimConfig
     equivalence: tuple
     deflation_rank: int = 0
+    spectral_gap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -198,7 +205,9 @@ class DecayReport:
     ``theta_fit`` is minus the slope of log energy over the post-transient
     window; ``slaving_constant`` is the smallest C with
     ``H1(t)^2 <= C exp(-theta t) H1(0)^2 + C sup_{tau<=t} (L2^2 + |y|^2)``
-    along the trajectory.
+    along the trajectory.  ``spectral_gap`` is the deflated trajectory's
+    discrete spectral gap (None without deflation); an energy quadratic in
+    the state decays at about twice it.
     """
 
     theta_fit: float
@@ -207,6 +216,7 @@ class DecayReport:
     eta1_used: float
     epsilon_used: float
     deflated: bool
+    spectral_gap: float | None = None
 
     def to_dict(self):
         return {
@@ -216,6 +226,8 @@ class DecayReport:
             "eta1_used": float(self.eta1_used),
             "epsilon_used": float(self.epsilon_used),
             "deflated": bool(self.deflated),
+            "spectral_gap": (None if self.spectral_gap is None
+                             else float(self.spectral_gap)),
         }
 
 
@@ -423,6 +435,9 @@ def _trajectory(cfg, sim, states, blowup_time=None) -> SimTrajectory:
 # slow-mode deflation and decay measurement
 # ---------------------------------------------------------------------------
 
+SLOW_EIGS = 6  # eigenvalues of L nearest 0 searched for the slow cluster
+SLOW_GAP_RATIO = 10.0  # smallest modulus jump that separates a slow cluster
+
 
 def random_initial_data(centers, X, seed, modes: int = 8):
     """Seeded smooth random field: a few Fourier modes with decaying weights.
@@ -441,41 +456,68 @@ def random_initial_data(centers, X, seed, modes: int = 8):
     return out
 
 
-def deflated_run(cfg: SimConfig, u0, y0=0.0, sim: UpwindSimulator | None = None,
-                 snapshot_fraction: float = 0.25, n_snapshots: int = 12,
-                 rank_tol: float = 1e-9, max_rank: int = 8):
+def slow_family(sim: UpwindSimulator):
+    """Spectral projector of L onto its cluster of eigenvalues near 0.
+
+    The ``SLOW_EIGS`` eigenvalues of L nearest 0 and the left eigenvectors
+    of the same cluster come from shift-invert ARPACK on L and L^H.  The
+    slow cluster is every eigenvalue before the largest jump in modulus;
+    conjugate eigenvalues have equal moduli, so the cut never splits a pair.
+    Returns ``(eigenvalues, spectral_gap, V, Wh)``: the cluster, -Re of the
+    first eigenvalue outside it, and the factors of the projector
+    ``P = V @ Wh`` with ``Wh = (W^H V)^{-1} W^H``.  A jump below
+    ``SLOW_GAP_RATIO`` raises ``NumericalError``: no gap then separates a
+    slow family.
+    """
+    L = sim.L
+    v0 = np.ones(L.shape[0], dtype=sim.dtype)  # a fixed start keeps runs repeatable
+    lam, V = scipy.sparse.linalg.eigs(L, k=SLOW_EIGS, sigma=0, v0=v0)
+    mu, W = scipy.sparse.linalg.eigs(L.conj().T, k=SLOW_EIGS, sigma=0, v0=v0)
+    order = np.argsort(np.abs(lam))
+    modulus = np.abs(lam[order])
+    jumps = modulus[1:] / modulus[:-1]
+    rank = int(np.argmax(jumps)) + 1
+    if jumps[rank - 1] < SLOW_GAP_RATIO:
+        raise NumericalError(
+            f"no gap separates a slow family: the largest modulus jump among the "
+            f"{SLOW_EIGS} eigenvalues of L nearest 0 is {jumps[rank - 1]:.3g}")
+    V = V[:, order[:rank]]
+    Wt = W[:, np.argsort(np.abs(mu))[:rank]].conj().T
+    return (lam[order[:rank]], float(-lam[order[rank]].real), V,
+            np.linalg.solve(Wt @ V, Wt))
+
+
+def deflated_run(cfg: SimConfig, u0, y0=0.0, sim: UpwindSimulator | None = None):
     """Trajectory with the slow invariant family projected out.
 
     At the co-periodic phase the exact dynamics keeps a low-dimensional
     family (wave translation, the mass-conservation direction it pairs with,
     and sonic-resonance remnants) that the damping estimate slaves to low
-    norms instead of damping.  Late-time snapshots of the trajectory span
-    exactly this family once the fast part has decayed; the recorded history
-    is re-measured after orthogonal projection onto the complement of that
-    span.  The projection rank is chosen by singular value truncation and
-    reported on the returned trajectory as ``deflation_rank``.
+    norms instead of damping.  Every recorded state z is re-measured as
+    ``(I - P) z``, with P the spectral projector of L onto its slow cluster
+    (``slow_family``).  P commutes with L and so with the SSP-RK3 step: the
+    deflated history is itself a trajectory of the scheme, started from
+    ``(I - P) z0`` and, for forced runs, driven by ``(I - P) f``.  The
+    returned trajectory reports the cluster size as ``deflation_rank`` and
+    its discrete ``spectral_gap``.
     """
     sim = sim or UpwindSimulator(cfg)
     main = run(cfg, u0, y0, sim=sim)
     if main.blew_up:
         return main
 
+    _, gap, V, Wh = slow_family(sim)
     # recorded states z = (u1, u2, y), one per row
     Z = np.array([np.concatenate([s.u1, s.u2, [s.y]]) for s in main.states])
-    n_out = len(Z)
-    start = int(n_out * (1.0 - snapshot_fraction))
-    idx = np.unique(np.linspace(start, n_out - 1, n_snapshots).astype(int))
-    S = Z[idx].T
-    scale = np.linalg.norm(S, axis=0).max()
-    Q = None
-    if scale > 0:
-        U, sv, _ = np.linalg.svd(S, full_matrices=False)
-        keep = sv > rank_tol * sv[0]
-        Q = U[:, keep][:, :max_rank]
-        Z = Z - (Z @ Q.conj()) @ Q.T
+    PZ = (Z @ Wh.T) @ V.T
+    # the slow cluster of a real L is closed under conjugation, so P is real
+    # in exact arithmetic: its imaginary part is rounding, and real dynamics
+    # stays in float64
+    Z = Z - (PZ.real if sim.dtype == np.float64 else PZ)
 
     traj = _trajectory(cfg, sim, [_snapshot(sim, s.t, z) for s, z in zip(main.states, Z)])
-    traj.deflation_rank = 0 if Q is None else Q.shape[1]
+    traj.deflation_rank = V.shape[1]
+    traj.spectral_gap = gap
     return traj
 
 
@@ -483,11 +525,11 @@ def measure_decay(traj: SimTrajectory, discard_fraction: float = 0.2,
                   fit_end_fraction: float = 0.7) -> DecayReport:
     """Least-squares exponential fit of the energy over the trajectory.
 
-    The first ``discard_fraction`` of the horizon is treated as transient;
-    the window also stops before the end so deflated trajectories, whose
-    final stretch seeds the projection, are fitted on independent samples.
-    The slaving constant is evaluated with the fitted rate against the
-    running supremum of the squared low norms.
+    The fit window runs from ``discard_fraction`` to ``fit_end_fraction``
+    of the horizon; its first part is treated as transient.  The slaving
+    constant is evaluated with the fitted rate against the running supremum
+    of the squared low norms.  A deflated trajectory's ``spectral_gap`` is
+    copied into the report.
     """
     t = traj.times
     E = traj.energy
@@ -521,4 +563,6 @@ def measure_decay(traj: SimTrajectory, discard_fraction: float = 0.2,
         theta_fit=theta, r_squared=float(r2), slaving_constant=slaving,
         eta1_used=float(w.eta1), epsilon_used=float(w.epsilon),
         deflated=traj.deflation_rank > 0,
+        # trajectories built without a spectrum carry no gap
+        spectral_gap=getattr(traj, "spectral_gap", None),
     )

@@ -6,7 +6,7 @@ import scipy.sparse
 
 from rollgap import dampsim as ds
 from rollgap import rollwave as rw
-from rollgap.errors import ConfigurationError, HyperbolicityError
+from rollgap.errors import ConfigurationError, HyperbolicityError, NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +214,8 @@ def test_config_validation(setup_f3):
         ds.SimConfig(profile=p, cd=cd, weights=w, N=64, cfl=1.5)
     with pytest.raises(ConfigurationError):
         ds.SimConfig(profile=p, cd=cd, weights=w, N=64, t_end=-1.0)
+    with pytest.raises(ConfigurationError):
+        ds.SimConfig(profile=p, cd=cd, weights=w, N=64, n_outputs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +277,81 @@ def test_real_deflation_stays_real(setup_f3):
     for s in traj.states:
         assert s.u1.dtype == np.float64 and s.u2.dtype == np.float64
         assert isinstance(s.y, np.float64)
+
+
+def _states(traj):
+    return np.array([np.concatenate([s.u1, s.u2, [s.y]]) for s in traj.states])
+
+
+def _energies(sim, Z):
+    N = sim.cfg.N
+    return np.array([sim.norms(z[:N], z[N:2 * N], z[2 * N])[2] for z in Z])
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_deflation_is_a_trajectory_of_the_scheme(setup_f3, forced):
+    # P commutes with the SSP-RK3 step, so deflating a trajectory is the same
+    # as running the scheme from (I - P) z0.  A forced run deflates to that
+    # run plus its deflated response to the forcing from zero data.  An
+    # oblique projector is needed: an orthogonal one onto the right
+    # eigenvectors does not commute with L and fails both comparisons.
+    p, cd, w = setup_f3
+    N = 64
+    base = ds.SimConfig(profile=p, cd=cd, weights=w, N=N, t_end=10.0, n_outputs=50)
+    sim = ds.setup(base)
+    u0 = smooth_random(sim.centers, p.X, 21)
+    y0 = 0.2
+    _, _, V, Wh = ds.slow_family(sim)
+    z0 = np.concatenate([u0[0], u0[1], [y0]])
+    z0 = z0 - (V @ (Wh @ z0)).real
+    ref = _states(ds.run(base, np.stack([z0[:N], z0[N:2 * N]]), z0[2 * N], sim=sim))
+    if forced:
+        cfg = ds.SimConfig(profile=p, cd=cd, weights=w, N=N, t_end=10.0, n_outputs=50,
+                           forcing_G=lambda t: np.array([0.3 * np.cos(t), -0.2]))
+        fsim = ds.setup(cfg)
+        got = (_states(ds.deflated_run(cfg, u0, y0, sim=fsim))
+               - _states(ds.deflated_run(cfg, np.zeros((2, N)), sim=fsim)))
+    else:
+        traj = ds.deflated_run(base, u0, y0, sim=sim)
+        assert traj.deflation_rank == 3
+        got = _states(traj)
+    e_ref = _energies(sim, ref)
+    assert np.max(np.abs(_energies(sim, got) - e_ref) / e_ref) < 1e-8
+
+
+def test_theta_is_twice_the_spectral_gap(setup_f3):
+    # the energy is quadratic in the state, so it decays at twice the gap
+    p, cd, w = setup_f3
+    for N in (64, 128, 256):
+        cfg = ds.SimConfig(profile=p, cd=cd, weights=w, N=N, t_end=60.0)
+        sim = ds.setup(cfg)
+        traj = ds.deflated_run(cfg, ds.random_initial_data(sim.centers, p.X, 3), sim=sim)
+        rep = ds.measure_decay(traj)
+        assert traj.deflation_rank == 3
+        assert rep.spectral_gap == traj.spectral_gap and traj.spectral_gap > 0
+        assert 0.9 <= rep.theta_fit / (2.0 * rep.spectral_gap) <= 1.15
+    assert ds.measure_decay(ds.run(cfg, np.ones((2, N)), sim=sim)).spectral_gap is None
+
+
+def test_unstable_slow_eigenvalue_is_a_discretization_artefact(setup_f3):
+    # the slow cluster holds one real eigenvalue with a positive real part;
+    # it shrinks under grid refinement
+    p, cd, w = setup_f3
+    growth = []
+    for N in (64, 128, 256):
+        sim = ds.setup(ds.SimConfig(profile=p, cd=cd, weights=w, N=N))
+        lam = ds.slow_family(sim)[0]
+        assert np.sum(lam.real > 0) == 1
+        growth.append(lam.real.max())
+    assert growth[1] < 0.8 * growth[0] and growth[2] < 0.8 * growth[1]
+
+
+def test_no_gap_no_slow_family(setup_f3, monkeypatch):
+    p, cd, w = setup_f3
+    sim = ds.setup(ds.SimConfig(profile=p, cd=cd, weights=w, N=64))
+    monkeypatch.setattr(ds, "SLOW_GAP_RATIO", 1e3)
+    with pytest.raises(NumericalError):
+        ds.slow_family(sim)
 
 
 def test_synthetic_instability_grows(setup_f3):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import os
 import sys
 
 from . import certify, dampsim, genbal, matgap, matio, rollwave
@@ -175,12 +176,17 @@ def _cmd_rollwave(args, config):
     amplitude = _resolve(args, config, "amplitude", 0.5, float)
     c0 = _resolve(args, config, "c0", 1.0, float)
     jobs = _resolve(args, config, "jobs", 1, int)
+    if jobs < 1:
+        raise InvalidInputError(f"--jobs must be at least 1, got {jobs}")
     froudes = [float(tok) for tok in str(args.froude).split(",")]
 
     tasks = [(args.task, F, amplitude, args.h_plus, n_grid, args.epsilon, c0)
              for F in froudes]
-    if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a forked pool starts all its workers at once, so never more than
+    # there are tasks or cores
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_rollwave_star, tasks))
     else:
         results = [_rollwave_star(t) for t in tasks]

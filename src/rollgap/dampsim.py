@@ -260,14 +260,12 @@ class UpwindSimulator:
         self.a2_f = np.asarray(f.alpha2(faces), dtype=float)
         self.a2_f[self.i_sonic] = 0.0  # exact sonic interface
         xc = self.centers
-        c1 = np.asarray(f.alpha1_prime(xc) - f.gamma1(xc), dtype=float)
-        c2 = np.asarray(f.alpha2_prime(xc) - f.gamma2(xc), dtype=float)
-        b1 = np.asarray(f.beta1(xc), dtype=float)
-        b2 = np.asarray(f.beta2(xc), dtype=float)
+        Mc = f.coupling_matrix(xc)
+        c1 = f.alpha1_prime(xc) - Mc[:, 0, 0]
+        c2 = f.alpha2_prime(xc) - Mc[:, 1, 1]
+        b1, b2 = Mc[:, 0, 1], Mc[:, 1, 0]
 
-        from .rollwave import jump_coefficients
-
-        jc = jump_coefficients(p, cfg.cd)
+        jc = cfg.cd.stability  # the wave's one boundary solve
         forced = cfg.forcing_F is not None or cfg.forcing_G is not None
         is_real = abs(cfg.floquet_xi) < 1e-300 and not forced
         self.dtype = np.float64 if is_real else np.complex128

@@ -128,16 +128,13 @@ def load_mode_data(source) -> GeneralModeData:
 
 def from_sv_profile(profile, cd) -> GeneralModeData:
     """Reduce a Saint-Venant profile to general mode data (n = 2, m = 0)."""
-    from .rollwave import jump_coefficients, stability_index
-
-    rep = stability_index(profile, cd)
-    jc = jump_coefficients(profile, cd)
+    rep = cd.stability
     return GeneralModeData(
         n=2,
         m=0,
         tau=np.array([-rep.inv_speed_integral]),
         g=np.array([rep.transit_integral]),
-        coupling=np.array([[jc.a0]]),
+        coupling=np.array([[rep.a0]]),
         sonic_alpha_prime=cd.alpha2_prime_xs,
         sonic_gamma=cd.gamma2_xs,
     )

@@ -38,6 +38,7 @@ the energy functional of the discrete simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -390,7 +391,10 @@ class SVCharacteristicFields:
     def coupling_matrix(self, x):
         """The zeroth-order matrix M with diag (gamma_1, gamma_2) and
         off-diagonal (beta_1; beta_2), from T^{-1} A0^{-1} ((A T)' - E T)."""
-        h = np.atleast_1d(np.asarray(self.profile.h_of_x(x), dtype=float))
+        return self.coupling_matrix_h(np.atleast_1d(self.profile.h_of_x(x)))
+
+    def coupling_matrix_h(self, h):
+        """:meth:`coupling_matrix` at given heights (a 1-d array)."""
         F, c, q = self._F, self._c, self._q
         U = c - q / h
         hp = self._slope(h)
@@ -500,6 +504,12 @@ class CharacteristicData:
     derivatives are the exact chain-rule values, not grid differences.
     ``fields`` evaluates every quantity at arbitrary x for quadrature and for
     the simulator.
+
+    The wave's integrals and its boundary solve are computed once, on first
+    use, and shared by every caller: ``integrals`` holds the cumulative
+    transit exponent, transit time and sonic weight exponent on the grid
+    (composite 7-point Gauss quadrature over the grid cells), and
+    ``stability`` the jump coefficients and the high-frequency index.
     """
 
     grid: np.ndarray
@@ -515,6 +525,55 @@ class CharacteristicData:
     gamma2_xs: float
     fields: SVCharacteristicFields
 
+    def _integrands(self, x):
+        """``gamma_1/alpha_1``, ``1/|alpha_1|`` and the sonic weight rate
+        ``(alpha_2' - alpha_2'(x_s) + 2 (gamma_2 - gamma_2(x_s))) / alpha_2``
+        at the points x, stacked, from one evaluation of the profile.
+
+        The sonic rate is 0/0 only at x_s itself, which the quadrature meets
+        only as the end of a zero-length cell; there its value is set to 0.
+        """
+        f = self.fields
+        h = np.atleast_1d(f.h(x))
+        a1 = f.alpha1_h(h)
+        a2 = f.alpha2_h(h)
+        M = f.coupling_matrix_h(h)
+        rate = (f.dalpha2_dh(h) * f._slope(h) - self.alpha2_prime_xs
+                + 2.0 * (M[..., 1, 1] - self.gamma2_xs))
+        sonic = np.divide(rate, a2, out=np.zeros_like(a2), where=a2 != 0)
+        return np.stack([M[..., 0, 0] / a1, 1.0 / np.abs(a1), sonic])
+
+    @cached_property
+    def integrals(self) -> np.ndarray:
+        """Cumulative integrals of :meth:`_integrands` from 0 to each grid
+        point, shape (3, len(grid))."""
+        return _cumulative_gauss(self._integrands, self.grid)
+
+    def integrals_at(self, xs) -> np.ndarray:
+        """:attr:`integrals` at arbitrary points: the value at the grid point
+        to the left of each x plus one Gauss cell from there to x."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        i = np.clip(np.searchsorted(self.grid, xs, side="right") - 1,
+                    0, self.grid.size - 1)
+        return self.integrals[:, i] + _gauss_cells(self._integrands, self.grid[i], xs)
+
+    @cached_property
+    def stability(self) -> StabilityIndexReport:
+        """The jump solve and the high-frequency index of the wave."""
+        f = self.fields
+        p = f.profile
+        jc = jump_coefficients(p, self)
+        sol = np.linalg.solve(np.column_stack([f.AT_column(p.X, 1), f.jump_f0()]),
+                              f.AT_column(0.0, 1))
+        transit, inv_speed = (float(v) for v in self.integrals[:2, -1])
+        index = float(np.exp(transit) * jc.a0)
+        hf = float(np.log(abs(index)) / inv_speed) if index != 0 else -np.inf
+        return StabilityIndexReport(
+            **vars(jc), C=jc.a0, transit_integral=transit, index=index,
+            hf_abscissa=hf, a_from_solve=float(sol[0]),
+            inv_speed_integral=inv_speed,
+        )
+
 
 def characteristics(p: RollWaveProfile) -> CharacteristicData:
     """Diagonalize the linearized system along the profile.
@@ -524,15 +583,15 @@ def characteristics(p: RollWaveProfile) -> CharacteristicData:
     and ``alpha_2`` crossing zero transversally at the sonic point.
     """
     fields = SVCharacteristicFields(p)
-    x = p.grid
+    x, h = p.grid, p.h_samples
     Mc = fields.coupling_matrix(x)
     a2p = float(fields.alpha2_prime(p.x_s))
     if not a2p > 0:
         raise StructuralAssumptionError("alpha_2 must cross zero with positive slope")
     return CharacteristicData(
         grid=x,
-        alpha1=fields.alpha1(x),
-        alpha2=fields.alpha2(x),
+        alpha1=fields.alpha1_h(h),
+        alpha2=fields.alpha2_h(h),
         gamma1=Mc[..., 0, 0],
         gamma2=Mc[..., 1, 1],
         beta1=Mc[..., 0, 1],
@@ -623,23 +682,31 @@ def jump_coefficients(p: RollWaveProfile, cd: CharacteristicData,
     )
 
 
-def _cell_gauss(f, grid):
-    """Composite Gauss quadrature of a vectorized integrand over grid cells."""
-    a = grid[:-1]
-    b = grid[1:]
+def _gauss_cells(f, a, b):
+    """Seven-point Gauss integrals of f over the cells [a_i, b_i].  f maps a
+    1-d array of points to one value per point, or to a stack of them."""
     mid = (a + b) / 2.0
     half = (b - a) / 2.0
     nodes = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(half[:, None] * _GAUSS_WEIGHTS[None, :] * vals))
+    vals = np.asarray(f(nodes.ravel()), dtype=float)
+    vals = vals.reshape(vals.shape[:-1] + nodes.shape)
+    return np.sum(half[:, None] * _GAUSS_WEIGHTS[None, :] * vals, axis=-1)
+
+
+def _cumulative_gauss(f, xs):
+    """Cumulative integral of f from 0 to each entry of the sorted array xs."""
+    xs = np.atleast_1d(xs)
+    return np.cumsum(_gauss_cells(f, np.concatenate([[0.0], xs[:-1]]), xs), axis=-1)
 
 
 @dataclass(frozen=True)
-class StabilityIndexReport:
-    """High-frequency stability data for one profile.
+class StabilityIndexReport(JumpCoefficients):
+    """High-frequency stability data for one profile, with the jump
+    coefficients it is built from.
 
-    ``C`` is the boundary determinant ratio, ``transit_integral`` is
-    ``int_0^X gamma_1/alpha_1``, and ``index = exp(transit_integral) * C``.
+    ``C`` is the boundary determinant ratio (equal to ``a0``),
+    ``transit_integral`` is ``int_0^X gamma_1/alpha_1``, and
+    ``index = exp(transit_integral) * C``.
     ``hf_abscissa = log(index) / int_0^X |alpha_1|^{-1}`` is the real-part
     asymptote of the high-frequency spectrum: negative exactly when the
     index is below one.  ``a_from_solve`` re-derives C by solving the linear
@@ -650,12 +717,6 @@ class StabilityIndexReport:
     transit_integral: float
     index: float
     hf_abscissa: float
-    a0: float
-    b0: float
-    c0: float
-    d0: np.ndarray
-    e0: float
-    lopatinsky_det: float
     a_from_solve: float
     inv_speed_integral: float
 
@@ -675,29 +736,9 @@ class StabilityIndexReport:
 
 
 def stability_index(p: RollWaveProfile, cd: CharacteristicData) -> StabilityIndexReport:
-    """Compute the high-frequency stability index and boundary coefficients."""
-    fields = cd.fields
-    jc = jump_coefficients(p, cd)
-
-    def integrand(x):
-        return fields.gamma1(x) / fields.alpha1(x)
-
-    transit = _cell_gauss(integrand, p.grid)
-    inv_speed = _cell_gauss(lambda x: 1.0 / np.abs(fields.alpha1(x)), p.grid)
-
-    at1_0 = fields.AT_column(0.0, 1)
-    at1_X = fields.AT_column(p.X, 1)
-    jf0 = fields.jump_f0()
-    sol = np.linalg.solve(np.column_stack([at1_X, jf0]), at1_0)
-
-    index = float(np.exp(transit) * jc.a0)
-    hf = float(np.log(abs(index)) / inv_speed) if index != 0 else -np.inf
-    return StabilityIndexReport(
-        C=float(jc.a0), transit_integral=float(transit), index=index,
-        hf_abscissa=hf, a0=jc.a0, b0=jc.b0, c0=jc.c0, d0=jc.d0, e0=jc.e0,
-        lopatinsky_det=jc.lopatinsky_det, a_from_solve=float(sol[0]),
-        inv_speed_integral=float(inv_speed),
-    )
+    """The high-frequency stability index and boundary coefficients of the
+    wave; computed once per ``CharacteristicData`` (see ``cd.stability``)."""
+    return cd.stability
 
 
 def hs_threshold(p: RollWaveProfile, cd: CharacteristicData) -> float:
@@ -731,6 +772,7 @@ class DampingWeights:
     boundary dissipation margin of the transverse mode; its zero-epsilon
     limit equals ``1 - index^2``, so positivity at small epsilon is the
     energy-side face of high-frequency spectral stability.
+    ``omega1_at`` and ``omega2_at`` evaluate the weights off the grid.
     """
 
     epsilon: float
@@ -743,114 +785,57 @@ class DampingWeights:
     eta1: float
     eta1_zero: float
     advisory: str | None
-    _fields: SVCharacteristicFields
-    _sonic_limit: float
-    _g2_xs: float
-    _a2p_xs: float
-
-    def _omega1_exponent(self, xs):
-        return _cumulative_gauss(self._omega1_integrand, xs)
-
-    def _omega1_integrand(self, x):
-        f = self._fields
-        return 2.0 * (f.gamma1(x) - self.epsilon) / f.alpha1(x)
-
-    def _omega2_integrand(self, x):
-        f = self._fields
-        x = np.asarray(x, dtype=float)
-        a2 = f.alpha2(x)
-        xs = f.profile.x_s
-        near = np.abs(x - xs) < 1e-7 * max(f.profile.X, 1.0)
-        out = np.empty_like(np.atleast_1d(a2), dtype=float)
-        flat_x = np.atleast_1d(x)
-        if np.any(~near):
-            xx = flat_x[~near]
-            out[~near] = (
-                f.alpha2_prime(xx) - self._a2p_xs
-                + 2.0 * (f.gamma2(xx) - self._g2_xs)
-            ) / f.alpha2(xx)
-        if np.any(near):
-            out[near] = self._sonic_limit
-        return out if np.ndim(x) else float(out[0])
+    _cd: CharacteristicData
 
     def omega1_at(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        f = self._fields
-        return np.abs(f.alpha1(xs)) * np.exp(self._omega1_exponent(xs))
+        G, T, _ = self._cd.integrals_at(xs)
+        return np.abs(self._cd.fields.alpha1(xs)) * np.exp(2.0 * G + 2.0 * self.epsilon * T)
 
     def omega2_at(self, xs):
-        return self.C0 * np.exp(_cumulative_gauss(self._omega2_integrand, np.asarray(xs, dtype=float)))
-
-
-def _cumulative_gauss(f, xs):
-    """Cumulative integral of f from 0 to each entry of the sorted array xs."""
-    xs = np.atleast_1d(xs)
-    pts = np.concatenate([[0.0], xs])
-    if np.any(np.diff(pts) < -1e-14):
-        order = np.argsort(xs)
-        inv = np.empty_like(order)
-        inv[order] = np.arange(order.size)
-        return _cumulative_gauss(f, xs[order])[inv]
-    a = pts[:-1]
-    b = pts[1:]
-    mid = (a + b) / 2.0
-    half = (b - a) / 2.0
-    nodes = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    pieces = np.sum(half[:, None] * _GAUSS_WEIGHTS[None, :] * vals, axis=1)
-    return np.cumsum(pieces)
+        return self.C0 * np.exp(self._cd.integrals_at(xs)[2])
 
 
 def damping_weights(p: RollWaveProfile, cd: CharacteristicData,
                     epsilon: float, C0: float) -> DampingWeights:
     """Build the mode weights for the damping energy at given margins.
 
-    Needs the high-frequency index below one; too large an epsilon makes the
-    transverse boundary margin ``eta1`` nonpositive even then, which is
-    reported through the ``advisory`` field rather than an error.
+    With ``G`` and ``T`` the cumulative ``int gamma_1/alpha_1`` and
+    ``int 1/|alpha_1|`` of ``cd.integrals`` (``alpha_1 < 0``),
+    ``Omega_1 = |alpha_1| exp(2 G + 2 epsilon T)`` and
+    ``Omega_2 = C0 exp(S_2)`` with ``S_2`` the cumulative sonic exponent, so
+    every weight and ``eta1 = 1 - index^2 exp(2 epsilon T(X))`` come from
+    the wave's one quadrature.  Needs the high-frequency index below one;
+    too large an epsilon makes the transverse boundary margin ``eta1``
+    nonpositive even then, which is reported through the ``advisory`` field
+    rather than an error.
     """
     if epsilon <= 0 or C0 <= 0:
         raise InvalidInputError("epsilon and C0 must be positive")
-    rep = stability_index(p, cd)
+    rep = cd.stability
     if abs(rep.index) >= 1.0:
         raise NoDampingWeightsError(
             f"high-frequency index {rep.index:.6g} is not below one"
         )
-    fields = cd.fields
-    a2p = cd.alpha2_prime_xs
-    g2 = cd.gamma2_xs
-    # limit of the sonic integrand, from one-sided analytic derivatives
-    dx = 1e-6 * p.X
-    a2pp = (fields.alpha2_prime(p.x_s + dx) - fields.alpha2_prime(p.x_s - dx)) / (2 * dx)
-    g2p = (fields.gamma2(p.x_s + dx) - fields.gamma2(p.x_s - dx)) / (2 * dx)
-    sonic_limit = float((a2pp + 2.0 * g2p) / a2p)
-
-    delta2 = 0.5 * a2p + g2
-    w = DampingWeights(
+    G, T, S2 = cd.integrals
+    I2 = rep.index**2
+    eta1 = float(1.0 - I2 * np.exp(2.0 * epsilon * rep.inv_speed_integral))
+    return DampingWeights(
         epsilon=float(epsilon), C0=float(C0), grid=p.grid,
-        omega1=None, omega2=None,
-        delta1=float(epsilon), delta2=float(delta2),
-        eta1=0.0, eta1_zero=0.0, advisory=None,
-        _fields=fields, _sonic_limit=sonic_limit, _g2_xs=float(g2),
-        _a2p_xs=float(a2p),
-    )
-    w.omega1 = w.omega1_at(p.grid)
-    w.omega2 = w.omega2_at(p.grid)
-
-    expo_eps = _cumulative_gauss(w._omega1_integrand, np.array([p.X]))[0]
-    w.eta1 = float(1.0 - rep.a0**2 * np.exp(expo_eps))
-    w.eta1_zero = float(1.0 - rep.a0**2 * np.exp(2.0 * rep.transit_integral))
-    if w.eta1 <= 0:
-        w.advisory = (
+        omega1=np.abs(cd.alpha1) * np.exp(2.0 * G + 2.0 * epsilon * T),
+        omega2=C0 * np.exp(S2),
+        delta1=float(epsilon),
+        delta2=float(0.5 * cd.alpha2_prime_xs + cd.gamma2_xs),
+        eta1=eta1, eta1_zero=float(1.0 - I2),
+        advisory=None if eta1 > 0 else (
             "eta1 is nonpositive at this epsilon although the index is below "
-            "one; decrease epsilon"
-        )
-    return w
+            "one; decrease epsilon"),
+        _cd=cd,
+    )
 
 
 def default_epsilon(p: RollWaveProfile, cd: CharacteristicData) -> float:
     """Half the epsilon at which eta1 drops to half its zero-epsilon value."""
-    rep = stability_index(p, cd)
+    rep = cd.stability
     if abs(rep.index) >= 1.0:
         raise NoDampingWeightsError("no damping margin: index is not below one")
     I2 = rep.index**2
@@ -862,22 +847,22 @@ def default_C0(p: RollWaveProfile, cd: CharacteristicData, epsilon: float,
                margin: float = 4.0) -> float:
     """Double C0 until the sonic boundary absorption dominates.
 
-    Raises ``NumericalError`` unless the absorption per unit C0 is positive
-    and finite and the cross term is finite.  Both sonic boundary terms carry a good sign with strength proportional
+    Both sonic boundary terms carry a good sign with strength proportional
     to C0; they must absorb the transverse boundary cross terms produced by
     the sonic traces in the boundary condition, whose size is set by the
-    transverse end weight and the coefficients b0, c0.
+    transverse end weight and the coefficients b0, c0.  The end weights are
+    the grid values of the unit-C0 weights at 0 and X.  Raises
+    ``NumericalError`` unless the absorption per unit C0 is positive and
+    finite and the cross term is finite.
     """
     w1 = damping_weights(p, cd, epsilon, 1.0)
-    jc = jump_coefficients(p, cd)
+    rep = cd.stability
     f = cd.fields
     good_unit = min(
         abs(float(f.alpha2(0.0))),  # Omega2(0+)/C0 = 1
-        abs(float(f.alpha2(p.X))) * float(np.exp(
-            _cumulative_gauss(w1._omega2_integrand, np.array([p.X]))[0])),
+        abs(float(f.alpha2(p.X))) * float(w1.omega2[-1]),
     )
-    bad = (abs(float(f.alpha1(p.X))) * float(w1.omega1_at(np.array([p.X]))[0])
-           * (jc.b0**2 + jc.c0**2))
+    bad = abs(float(f.alpha1(p.X))) * float(w1.omega1[-1]) * (rep.b0**2 + rep.c0**2)
     # with these bounds the doubling ends, at the latest when C0 overflows
     if not (np.isfinite(good_unit) and good_unit > 0 and np.isfinite(bad)):
         raise NumericalError(

@@ -177,6 +177,34 @@ def test_rollwave_sweep_outputs(tmp_path, capsys):
         assert doc["index"] < 1.0
 
 
+def test_rollwave_jobs_pool_is_capped(capsys, monkeypatch):
+    # a fake pool records its size, so no worker process is started
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    argv = ["rollwave", "threshold", "--n-grid", "200", "--jobs", "1000"]
+    assert run_cli(argv + ["--froude", "2.5,3,5"], capsys)[0] == 0
+    assert run_cli(argv + ["--froude", "2.5,3,4,5,6,8"], capsys)[0] == 0
+    assert run_cli(argv + ["--froude", "3"], capsys)[0] == 0
+    assert sizes == [3, 4]
+    code, _ = run_cli(["rollwave", "threshold", "--froude", "3", "--jobs", "0"], capsys)
+    assert code == 1
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

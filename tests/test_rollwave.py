@@ -344,10 +344,59 @@ def test_delta1_identity(profile, chardata):
         assert 0.5 * a1p + g1 - 0.5 * a1 * omp_exact == pytest.approx(eps, abs=1e-12)
 
 
+# a wave of the F = 5 family near its largest amplitude, and a short wave
+# (period 0.018) near the largest amplitude at F = 40
+EXTRA_WAVES = ((5.0, 0.9), (40.0, 0.95))
+
+
 def test_default_epsilon_halves_eta1(profile, chardata):
     eps = rw.default_epsilon(profile, chardata)
     w2 = rw.damping_weights(profile, chardata, 2.0 * eps, 1.0)
     assert w2.eta1 == pytest.approx(0.5 * w2.eta1_zero, rel=1e-6)
+    for F, amp in EXTRA_WAVES:
+        p = rw.build_profile(F, amplitude=amp)
+        cd = rw.characteristics(p)
+        eps = rw.default_epsilon(p, cd)
+        w2 = rw.damping_weights(p, cd, 2.0 * eps, 1.0)
+        assert w2.eta1 == pytest.approx(0.5 * w2.eta1_zero, rel=1e-6)
+
+
+@pytest.mark.parametrize("F, amp", EXTRA_WAVES)
+def test_off_grid_weights_match_grid_values(F, amp):
+    # a weight asked for at a grid point is the grid value, however few
+    # points are asked for, and both ends agree with the closed forms
+    p = rw.build_profile(F, amplitude=amp)
+    cd = rw.characteristics(p)
+    eps = rw.default_epsilon(p, cd)
+    w = rw.damping_weights(p, cd, eps, rw.default_C0(p, cd, eps))
+    for i in (-1, len(p.grid) // 3):
+        x = np.array([p.grid[i]])
+        assert float(w.omega1_at(x)[0]) == pytest.approx(w.omega1[i], rel=1e-10)
+        assert float(w.omega2_at(x)[0]) == pytest.approx(w.omega2[i], rel=1e-10)
+    rep = rw.stability_index(p, cd)
+    assert w.omega1[0] == pytest.approx(abs(cd.alpha1[0]), rel=1e-14)
+    assert w.omega1[-1] == pytest.approx(
+        abs(cd.alpha1[-1]) * (1.0 - w.eta1) / rep.a0**2, rel=1e-10)
+    assert w.omega2[0] == w.C0
+
+
+def test_jump_system_solved_once_per_wave(monkeypatch):
+    from rollgap import dampsim, genbal
+
+    solves = []
+    solve = rw.jump_coefficients
+    monkeypatch.setattr(rw, "jump_coefficients",
+                        lambda *a, **k: solves.append(1) or solve(*a, **k))
+    p = rw.build_profile(3.0, n_grid=400)
+    cd = rw.characteristics(p)
+    rep = rw.stability_index(p, cd)
+    assert rw.stability_index(p, cd) is rep
+    eps = rw.default_epsilon(p, cd)
+    c0 = rw.default_C0(p, cd, eps)
+    w = rw.damping_weights(p, cd, eps, c0)
+    genbal.from_sv_profile(p, cd)
+    dampsim.UpwindSimulator(dampsim.SimConfig(profile=p, cd=cd, weights=w, N=64))
+    assert len(solves) == 1
 
 
 def test_default_c0_margin_rule(profile, chardata):

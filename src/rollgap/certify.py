@@ -369,13 +369,16 @@ def _pair_root(q1, q2, opts, diagnostics):
     return CommonRoot(vector=root, residual=residual)
 
 
-def numeric_common_root(forms, opts: CertifyOptions | None = None):
+def numeric_common_root(forms, opts: CertifyOptions | None = None, tol: float = 0.0):
     """Multi-start least-squares search for a joint root of Hermitian forms.
 
     Minimizes the vector of form values over the unit sphere of C^m and
     returns ``(vector, residual)`` with ``residual = max_j |v^* Q_j v|`` at
     the best point found; no root formula exists beyond two dimensions, so
-    the result is a numerical floor rather than a proof of absence.
+    the result is a numerical floor rather than a proof of absence.  The
+    starts end at the first point whose residual is at most the absolute
+    tolerance ``tol``; at the default 0 that is an exact root, which no later
+    start could improve on, so the result is that of all ``root_starts``.
     """
     opts = opts or CertifyOptions()
     forms = [_hermitize(q) for q in forms]
@@ -404,6 +407,8 @@ def numeric_common_root(forms, opts: CertifyOptions | None = None):
         if r < best_res:
             best_res = r
             best_v = to_c(sol.x)
+            if best_res <= tol:
+                break
     return best_v, best_res
 
 
@@ -480,8 +485,9 @@ def certify_minimizer(B, S: DiagonalScaling, opts: CertifyOptions | None = None)
         if found is not None:
             return DefiniteCombination(coeffs=found[0], min_eig=found[1])
     scale_norm = F.max_norm()
-    v, residual = numeric_common_root(F.forms, opts)
-    if residual <= opts.root_tol * max(scale_norm, 1e-300):
+    tol = opts.root_tol * max(scale_norm, 1e-300)
+    v, residual = numeric_common_root(F.forms, opts, tol)
+    if residual <= tol:
         return rooted(v, residual)
     return Undecided(diagnostics={
         "m": F.m,

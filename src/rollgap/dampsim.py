@@ -85,6 +85,20 @@ def kawashima_K(cd: CharacteristicData, weights: DampingWeights | None = None,
     the weighted coupling.  Returns an (npts, 2, 2) array of skew matrices.
     """
     xs = cd.grid if x is None else np.asarray(x, dtype=float)
+    if weights is None:
+        w1 = w2 = 1.0
+    else:
+        w1 = np.atleast_1d(weights.omega1_at(xs))
+        w2 = np.atleast_1d(weights.omega2_at(xs))
+    k = _compensator_k(cd, xs, w1, w2, amplitude, speed_tol)
+    K = np.zeros(k.shape + (2, 2))
+    K[..., 0, 1] = k
+    K[..., 1, 0] = -k
+    return K
+
+
+def _compensator_k(cd, xs, w1, w2, amplitude, speed_tol=1e-10):
+    """The entry k of :func:`kawashima_K` at ``xs`` from the weights there."""
     f = cd.fields
     a1 = np.atleast_1d(f.alpha1(xs))
     a2 = np.atleast_1d(f.alpha2(xs))
@@ -93,17 +107,7 @@ def kawashima_K(cd: CharacteristicData, weights: DampingWeights | None = None,
         raise HyperbolicityError("characteristic speeds too close for a compensator")
     b1 = np.atleast_1d(f.beta1(xs))
     b2 = np.atleast_1d(f.beta2(xs))
-    if weights is None:
-        w1 = np.ones_like(b1)
-        w2 = np.ones_like(b2)
-    else:
-        w1 = np.atleast_1d(weights.omega1_at(xs))
-        w2 = np.atleast_1d(weights.omega2_at(xs))
-    k = amplitude * (b1 * w1 + b2 * w2) / (2.0 * gaps)
-    K = np.zeros(k.shape + (2, 2))
-    K[..., 0, 1] = k
-    K[..., 1, 0] = -k
-    return K
+    return amplitude * (b1 * w1 + b2 * w2) / (2.0 * gaps)
 
 
 def upwind_stencil(speeds_f, dx):
@@ -316,7 +320,8 @@ class UpwindSimulator:
         w = cfg.weights
         self.om1_f = np.asarray(w.omega1_at(inner), dtype=float)
         self.om2_f = np.asarray(w.omega2_at(inner), dtype=float)
-        self.k_f = kawashima_K(cfg.cd, w, cfg.compensator_amplitude, inner)[..., 0, 1]
+        self.k_f = _compensator_k(cfg.cd, inner, self.om1_f, self.om2_f,
+                                  cfg.compensator_amplitude)
         om_min = float(min(self.om1_f.min(), self.om2_f.min()))
         k_max = float(np.max(np.abs(self.k_f)))
         self.c0prime_threshold = k_max * k_max / om_min

@@ -53,6 +53,7 @@ __all__ = [
     "min_scaled_norm",
     "top_cluster_forms",
     "dual_stationarity",
+    "PhaseMax",
     "max_phase_rho",
     "gap",
     "reduce_graph",
@@ -72,6 +73,9 @@ MAX_DIM = 16
 # exact gradient must be at most this times the value in every coordinate,
 # and dual_stationarity's residual at most this times the squared norm
 STATIONARY_RTOL = 1e-6
+# the phase search stops once its best value reaches (1 - BOUND_RTOL) times
+# an upper bound: every scaling S gives rho(U B) = rho(U B_S) <= ||B_S||
+BOUND_RTOL = 1e-9
 # squared singular values within this fraction of the largest one form the
 # top cluster
 CLUSTER_RTOL = 1e-6
@@ -225,7 +229,8 @@ class GapReport:
     ``rel_gap`` records the same quantity relative to ``inf_norm`` (both are
     reported since either normalization is meaningful for a unit-norm
     counterexample).  ``top_multiplicity`` is the numerical multiplicity of
-    the largest eigenvalue of (S B S^{-1})^* (S B S^{-1}) at the minimizer.
+    the largest eigenvalue of (S B S^{-1})^* (S B S^{-1}) at the minimizer,
+    and ``restarts_used`` the number of local ascents the phase search ran.
     """
 
     inf_norm: float
@@ -494,19 +499,36 @@ def _rho_value_grad(A, tf):
     return r, -r * np.imag(yx[1:] / s)
 
 
-def max_phase_rho(B, opts: GapOptions | None = None):
+class PhaseMax(tuple):
+    """``(value, U, converged)`` of :func:`max_phase_rho`, with the number of
+    local ascents run as ``ascents``."""
+
+    def __new__(cls, value, U, converged, ascents):
+        out = super().__new__(cls, (value, U, converged))
+        out.ascents = ascents
+        return out
+
+
+def max_phase_rho(B, opts: GapOptions | None = None, bound: float | None = None):
     """Maximize ``rho(U B)`` over diagonal unitary U.
 
-    Returns ``(value, U, converged)``.  A coarse grid scan (12 points per
-    free angle, capped in total size, with random starts standing in beyond
-    the cap) seeds multi-start local ascent with exact eigenvalue gradients
-    (one eigen-solve with left and right vectors per step); the landscape has
-    genuine local maxima, so the grid plus restarts is not optional.
-    ``value >= rho(B)`` always, since U = Id is a feasible point.
-    ``converged`` means stationarity: the exact gradient at the returned
-    angles is at most ``STATIONARY_RTOL * value`` in every coordinate.  Where
-    two top eigenvalue moduli tie at the maximum, rho is not differentiable
-    and the flag may be false.
+    Returns ``(value, U, converged)`` as a :class:`PhaseMax`, whose
+    ``ascents`` counts the local ascents run.  A coarse grid scan (12 points
+    per free angle, capped in total size, with random starts standing in
+    beyond the cap) seeds multi-start local ascent with exact eigenvalue
+    gradients (one eigen-solve with left and right vectors per step); the
+    landscape has genuine local maxima, so the grid plus restarts is not
+    optional.  ``value >= rho(B)`` always, since U = Id is a feasible point.
+
+    ``bound`` is an upper bound on the maximum, by default the value of
+    :func:`min_scaled_norm`: S commutes with U, so ``rho(U B) = rho(U B_S)
+    <= ||B_S||`` for every scaling S.  The multi-start ends as soon as the
+    best value reaches ``bound * (1 - BOUND_RTOL)``, which then lies within
+    ``BOUND_RTOL`` relative of the maximum; ``bound=np.inf`` runs every
+    ascent.  ``converged`` means stationarity: the exact gradient at the
+    returned angles is at most ``STATIONARY_RTOL * value`` in every
+    coordinate.  Where two top eigenvalue moduli tie at the maximum, rho is
+    not differentiable and the flag may be false.
     """
     opts = opts or GapOptions()
     M = as_matrix(B)
@@ -514,7 +536,10 @@ def max_phase_rho(B, opts: GapOptions | None = None):
     n = M.n
     rho_id = spectral_radius(M)
     if n == 1:
-        return rho_id, PhaseVector.identity(1), True
+        return PhaseMax(rho_id, PhaseVector.identity(1), True, 0)
+    if bound is None:
+        bound = min_scaled_norm(M, opts)[0]
+    stop = bound * (1.0 - BOUND_RTOL)
 
     d = n - 1
     rng = np.random.default_rng(opts.seed)
@@ -535,11 +560,15 @@ def max_phase_rho(B, opts: GapOptions | None = None):
 
     best_val = rho_id
     best_theta = np.zeros(d)
+    ascents = 0
     for idx in order:
+        if best_val >= stop:
+            break
         res = scipy.optimize.minimize(
             neg_rho, grid[idx], jac=True, method="L-BFGS-B",
             options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-12},
         )
+        ascents += 1
         cand_val = -res.fun
         cand_theta = np.mod(res.x, 2.0 * np.pi)
         if cand_val > best_val + 1e-12:
@@ -552,7 +581,7 @@ def max_phase_rho(B, opts: GapOptions | None = None):
     _, g = _rho_value_grad(A, best_theta)
     converged = float(np.max(np.abs(g))) <= STATIONARY_RTOL * best_val
     theta_full = np.concatenate(([0.0], best_theta))
-    return float(best_val), PhaseVector(theta_full), bool(converged)
+    return PhaseMax(float(best_val), PhaseVector(theta_full), bool(converged), ascents)
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +594,15 @@ def gap(B, opts: GapOptions | None = None) -> GapReport:
     opts = opts or GapOptions()
     M = as_matrix(B)
     inf_norm, S, mult, conv_s = min_scaled_norm(M, opts)
-    max_rho, U, conv_u = max_phase_rho(M, opts)
+    phase = max_phase_rho(M, opts, bound=inf_norm)
+    max_rho, U, conv_u = phase
     g = inf_norm - max_rho
     rel = g / inf_norm if inf_norm > 0 else 0.0
     return GapReport(
         inf_norm=inf_norm, argmin_S=S, max_rho=max_rho, argmax_U=U,
         gap=g, rel_gap=rel, top_multiplicity=mult,
         converged_S=conv_s, converged_U=conv_u,
-        restarts_used=min(opts.restarts, opts.grid_points ** (M.n - 1)) if M.n > 1 else 0,
+        restarts_used=phase.ascents,
     )
 
 

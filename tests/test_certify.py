@@ -353,6 +353,66 @@ def test_forms_r3_five_properties():
     assert res > 0.01
 
 
+def test_numeric_common_root_stops_at_tolerance(monkeypatch):
+    # forms on C^3 with a planted common root: two real equations leave a
+    # root set of dimension 3 on the unit sphere, so the first start already
+    # reaches it
+    rng = np.random.default_rng(12)
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    forms = []
+    for _ in range(2):
+        H = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        H = H + H.conj().T
+        forms.append(H - np.real(v.conj() @ H @ v) * np.outer(v, v.conj()))
+    starts = []
+    solve = cf.scipy.optimize.least_squares
+    monkeypatch.setattr(cf.scipy.optimize, "least_squares",
+                        lambda *a, **k: starts.append(1) or solve(*a, **k))
+    opts = cf.CertifyOptions(root_starts=16)
+    root, res = cf.numeric_common_root(forms, opts, tol=1e-8)
+    assert len(starts) == 1
+    assert res <= 1e-8
+    assert max(abs(np.real(root.conj() @ q @ root)) for q in forms) == res
+    # without a tolerance every start runs
+    starts.clear()
+    _, res_all = cf.numeric_common_root(forms, opts)
+    assert len(starts) == 16 and res_all <= res
+    # no start meets the tolerance: the same best residual after every start
+    starts.clear()
+    five = cf.forms_r3_five()
+    early = cf.numeric_common_root(five, opts, tol=1e-8)
+    assert len(starts) == 16
+    full = cf.numeric_common_root(five, opts)
+    assert early[1] == full[1] and np.array_equal(early[0], full[0])
+
+
+def test_certify_root_search_stops_at_tolerance(monkeypatch):
+    # criterion 2's second real 3x3 matrix: a stationary m = 2 scaling whose
+    # three independent forms send certify to numeric_common_root, where the
+    # first start already meets root_tol times the largest form norm
+    rng = np.random.default_rng(20260811)
+    for n in (2, 3):
+        for _ in range(100):
+            rng.standard_normal((n, n))
+            rng.standard_normal((n, n))
+    for _ in range(50):
+        rng.standard_normal((2, 2))
+    rng.standard_normal((3, 3))
+    B = rng.standard_normal((3, 3)) / np.sqrt(3)
+    S = mg.min_scaled_norm(B)[1]
+    starts = []
+    solve = cf.scipy.optimize.least_squares
+    monkeypatch.setattr(cf.scipy.optimize, "least_squares",
+                        lambda *a, **k: starts.append(1) or solve(*a, **k))
+    cert = cf.certify_minimizer(B, S)
+    assert isinstance(cert, cf.CommonRoot)
+    assert len(starts) == 1
+    F = cf.variational_forms(mg.as_matrix(B), S)
+    assert F.m == 2 and cf.independent_count(F.forms) == 3
+    assert cert.residual <= cf.CertifyOptions().root_tol * F.max_norm()
+
+
 def test_dimension_count_values():
     assert cf.dimension_count(3, 2, "complex") == 17
     assert 17 < 2 * 3 * 3

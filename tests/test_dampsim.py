@@ -102,6 +102,21 @@ def test_kawashima_on_profile(setup_f3):
     assert np.max(np.abs(K + K.transpose(0, 2, 1))) == 0.0
 
 
+def test_simulator_weights_evaluated_once(setup_f3, monkeypatch):
+    # set-up evaluates each weight once at the inner faces (two quadratures),
+    # and its compensator entry is kawashima_K's there, bit for bit
+    p, cd, w = setup_f3
+    cfg = ds.SimConfig(profile=p, cd=cd, weights=w, N=64, compensator_amplitude=0.7)
+    integrals_at = type(cd).integrals_at
+    calls = []
+    monkeypatch.setattr(type(cd), "integrals_at",
+                        lambda self, xs: calls.append(1) or integrals_at(self, xs))
+    sim = ds.setup(cfg)
+    assert len(calls) == 2
+    K = ds.kawashima_K(cd, w, 0.7, sim.faces[1:-1])
+    assert np.array_equal(sim.k_f, K[..., 0, 1])
+
+
 # ---------------------------------------------------------------------------
 # scheme sanity
 # ---------------------------------------------------------------------------

@@ -130,6 +130,16 @@ def test_c4_scaled_consistency_with_matgap():
     assert gb.hf_sat(scaled) == pytest.approx(0.9, abs=1e-6)
 
 
+def test_hf_rat_equals_gap_max_rho():
+    # hf_rat bounds the phase search by min_scaled_norm itself, as gap does
+    rng = np.random.default_rng(8)
+    mats = [mg.counterexample_c4()[0].entries]
+    mats += [rng.standard_normal((k, k)) / np.sqrt(k) for k in (2, 3, 4)]
+    mats += [(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(6)]
+    for B in mats:
+        assert gb.hf_rat(B) == mg.gap(B).max_rho
+
+
 # ---------------------------------------------------------------------------
 # frequency sampling
 # ---------------------------------------------------------------------------

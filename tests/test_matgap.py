@@ -212,6 +212,49 @@ def test_max_phase_rho_converged_on_ginibre_c3():
     assert all(flags)
 
 
+def test_bounded_phase_search_stops_after_one_ascent_on_ginibre_c3():
+    # complex 3x3 matrices have no gap, so the first ascent reaches the
+    # scaled-norm bound and the search stops there
+    rng = np.random.default_rng(2)
+    for _ in range(30):
+        B = rand_complex(rng, 3)
+        bounded = mg.max_phase_rho(B, bound=mg.min_scaled_norm(B)[0])
+        full = mg.max_phase_rho(B, bound=np.inf)
+        assert bounded.ascents == 1
+        assert full.ascents == mg.GapOptions().restarts
+        assert bounded[0] == pytest.approx(full[0], rel=1e-12)
+        # with no bound given the search takes min_scaled_norm's value
+        assert mg.max_phase_rho(B).ascents == 1
+
+
+def test_bounded_phase_search_runs_every_ascent_on_c4():
+    B, _, _ = mg.counterexample_c4()
+    opts = mg.GapOptions()
+    bounded = mg.max_phase_rho(B, opts, bound=mg.min_scaled_norm(B, opts)[0])
+    full = mg.max_phase_rho(B, opts, bound=np.inf)
+    assert bounded.ascents == full.ascents == opts.restarts
+    assert bounded[0] == full[0]
+    assert np.array_equal(bounded[1].angles, full[1].angles)
+    assert bounded[2] == full[2]
+
+
+def test_phase_search_bound_reached_at_identity_runs_no_ascent():
+    # a normal matrix has rho(B) = ||B||, so U = Id already meets the bound
+    v, U, conv = phase = mg.max_phase_rho(np.diag([1.0, -2.0, 0.5]))
+    assert phase.ascents == 0
+    assert v == pytest.approx(2.0, abs=1e-14)
+    assert np.all(U.angles == 0.0) and conv
+
+
+def test_gap_restarts_used_counts_ascents_run():
+    rng = np.random.default_rng(1)
+    assert mg.gap(rand_complex(rng, 3)).restarts_used == 1
+    B, _, _ = mg.counterexample_c4()
+    opts = mg.GapOptions(restarts=16)
+    assert mg.gap(B, opts).restarts_used == 16
+    assert mg.gap([[2.0]]).restarts_used == 0
+
+
 def test_gap_normal_matrix_zero():
     rng = np.random.default_rng(4)
     # unitary conjugate of a complex diagonal is normal, so norm equals radius

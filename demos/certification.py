@@ -5,9 +5,12 @@ At a critical scaling the first variation of the top singular cluster is a
 family of Hermitian forms on the cluster subspace.  A local minimum forbids
 any definite real combination; a common nonzero root of all the forms
 rebuilds a phase multiplier U with rho(U B_S) = ||B_S|| and closes the gap.
-For a pair of forms on C^2 exactly one of the two certificates always
-exists (and the root is constructive); three independent complex forms can
-evade both, which is precisely how the 4x4 gap matrix escapes.
+On C^2 one least-squares solve for the trace-one X >= 0 annihilated by the
+forms decides: its residual or its solution gives a definite combination,
+and X moved to the edge of the PSD ball is v v^* with v the root.  Three
+independent complex forms can pin X strictly inside the ball and evade
+both, which is precisely how the 4x4 gap matrix escapes; the same solve
+then bounds every unit vector's root residual from below.
 """
 
 import numpy as np
@@ -49,6 +52,7 @@ B4, _, _ = mg.counterexample_c4()
 cert4 = cf.certify_minimizer(B4, mg.DiagonalScaling.identity(4))
 print(f"  4x4 gap matrix at the identity: {cert4.kind}")
 print(f"    diagnostics: {cert4.diagnostics}")
+print("    (root_residual_floor is proven; best_root_residual is the numeric search's best)")
 
 print()
 print("== five real forms on C^3 (the dense frontier for real matrices) ==")

@@ -13,16 +13,18 @@ certificates can emerge:
   reconstructs a diagonal phase multiplier U with ``rho(U B_S) = ||B_S||``
   and therefore certifies that the gap closes at this scaling.
 
-For two Hermitian forms on C^2 exactly one of the two certificates always
-exists, and the root is constructive; for real-symmetric collections on C^2
-the dichotomy extends to any number of forms.  Three or more independent
-complex forms can evade both (the mechanism behind the 4x4 gap matrix), in
-which case the searches report ``Undecided`` with diagnostics.
-
-:func:`certify_minimizer` first runs :func:`rollgap.matgap.dual_stationarity`,
-the test behind ``converged_S``: a stationary scaling admits no definite
-combination, so only the root side runs there, and the flag and the
-certificate decide with the same code.
+On C^2 the trace-one X >= 0 are the ball ``I/2 + y.sigma``, ``|y| <= 1/2``
+(sigma the Pauli matrices), so the duality test behind ``converged_S``,
+:func:`rollgap.matgap.dual_stationarity`, is exact there, and one
+least-squares solve of its system gives the verdict and the certificate: a
+definite combination read off the residual or the solution, or a common root
+v with ``v v^*`` the annihilated X moved to the sphere.  Two forms, or any
+number of real-symmetric ones, always decide.  Only three independent
+complex forms that hold X strictly inside the ball (the mechanism behind the
+4x4 gap matrix) evade both; then the solve also gives a proven floor on the
+root residual of every unit vector.  Clusters of dimension three or more run
+the same test and then the numeric searches, which report ``Undecided``
+with diagnostics when neither succeeds.
 """
 
 from __future__ import annotations
@@ -132,7 +134,6 @@ class Undecided:
 class CertifyOptions:
     pd_tol: float = 1e-8
     root_tol: float = 1e-8
-    semi_tol: float = 1e-10
     def_starts: int = 64
     root_starts: int = 128
     seed: int = 0
@@ -171,30 +172,6 @@ def independent_count(forms, rtol: float = 1e-9) -> int:
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > rtol * sv[0]))
-
-
-def _orthonormal_form_basis(forms, rtol: float = 1e-9):
-    """Orthonormal basis of span(forms) plus the expansion coefficients of
-    each basis element in the original forms."""
-    rows = []
-    for q in forms:
-        q = _hermitize(q)
-        rows.append(np.concatenate([q.real.ravel(), q.imag.ravel()]))
-    A = np.array(rows).T  # columns are vectorized forms
-    u, sv, vh = np.linalg.svd(A, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return [], np.zeros((0, len(forms)))
-    k = int(np.sum(sv > rtol * sv[0]))
-    m = forms[0].shape[0]
-    basis = []
-    for i in range(k):
-        vec = u[:, i]
-        re = vec[: m * m].reshape(m, m)
-        im = vec[m * m:].reshape(m, m)
-        basis.append(_hermitize(re + 1j * im))
-    # coefficients: basis_i = sum_j coeffs[i, j] * forms[j]
-    coeffs = (vh[:k, :].conj() / sv[:k, None])
-    return basis, coeffs
 
 
 def _lambda_min(q):
@@ -251,122 +228,81 @@ def definite_combination_search(F, opts: CertifyOptions | None = None):
     return None
 
 
-def common_root_2d(q1, q2, opts: CertifyOptions | None = None):
-    """Constructive common root of two Hermitian forms on C^2, if one exists.
+# X = I/2 + sum_i y_i sigma_i is the general trace-one Hermitian 2x2 matrix;
+# its eigenvalues are 1/2 +- |y|, so X >= 0 is the ball |y| <= 1/2
+_PAULI = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
 
-    The first form is brought to a diagonal normal form by congruence.  In
-    the indefinite case the roots of the first form are a circle of
-    directions and substitution into the second form leads to a solvable
-    phase equation exactly when ``(d + b)^2 <= 4 |c|^2`` in normalized
-    coordinates; semidefinite and zero forms are handled by parametrizing
-    their null sets directly.  Returns a unit vector or ``None``; if both
-    forms vanish identically every vector is a root and the first basis
-    vector is returned.
+
+def _pair_certificate(forms, scale, rtol):
+    """Decide forms on C^2 from the dual system of
+    :func:`rollgap.matgap.dual_stationarity`.
+
+    ``<Q_j, X> = 0`` reads ``A y = b`` with ``A[j, i] = tr(Q_j sigma_i)`` and
+    ``b_j = -tr(Q_j)/2``.  Its least-squares solution nearest I/2, rank
+    counted at ``rtol * scale``, gives every outcome:
+
+    * a residual r above ``rtol * scale``: ``-sum r_j Q_j = |r|^2 I``, up to
+      the dropped singular values, is definite;
+    * ``|y| > 1/2 + rtol``: the c with ``A^T c = y`` makes ``-sum c_j Q_j =
+      |y|^2 I - y.sigma/2`` definite with lambda_min ``|y| (|y| - 1/2)``;
+    * otherwise some X >= 0 is annihilated.  Moving y along a null direction
+      of A to ``|y| = 1/2`` makes ``X = v v^*``, and v is a common root, with
+      its residual ``max_j |v^* Q_j v|`` attached;
+    * with no null direction and ``|y| < 1/2`` no such move exists: every
+      unit v, whose ``v v^*`` is ``I/2 + w.sigma`` with ``|w| = 1/2``, has
+      form values ``A (w - y) - r``, so ``sigma_min(A) (1/2 - |y|) /
+      sqrt(n)`` is a proven floor on its residual, returned as ``Undecided``.
     """
-    opts = opts or CertifyOptions()
-    q1 = _hermitize(q1)
-    q2 = _hermitize(q2)
-    if q1.shape != (2, 2) or q2.shape != (2, 2):
-        raise InvalidInputError("common_root_2d expects 2x2 Hermitian forms")
-    n1 = float(np.linalg.norm(q1, 2))
-    n2 = float(np.linalg.norm(q2, 2))
-    scale = max(n1, n2)
-    if scale == 0.0:
-        return np.array([1.0 + 0j, 0.0])
-    if n1 <= opts.semi_tol * scale:
-        # first form vanishes; the problem is the single-form one
-        return common_root_2d(q2, np.zeros((2, 2)), opts)
-
-    lam, vecs = np.linalg.eigh(q1)
-    # eigh sorts ascending: lam[0] <= lam[1]
-    small = opts.semi_tol * n1
-    if lam[0] > small or lam[1] < -small:
-        # definite: only the zero root
-        return None
-    if abs(lam[0]) <= small or abs(lam[1]) <= small:
-        # semidefinite: the null set of q1 is the line of the ~zero eigenvector
-        w = vecs[:, 0] if abs(lam[0]) <= abs(lam[1]) else vecs[:, 1]
-        val = float(np.real(w.conj() @ q2 @ w))
-        if abs(val) <= max(opts.root_tol * scale, 10 * small * n2 / max(n1, 1e-300)):
-            return w / np.linalg.norm(w)
-        return None
-
-    # indefinite: congruence to diag(1, -1)
-    P = np.column_stack([vecs[:, 1] / np.sqrt(lam[1]), vecs[:, 0] / np.sqrt(-lam[0])])
-    qt = _hermitize(P.conj().T @ q2 @ P)
-    b = float(qt[0, 0].real)
-    d = float(qt[1, 1].real)
-    c = complex(qt[0, 1])
-    rhs = -(d + b) / 2.0
-    slack = opts.root_tol * max(abs(b), abs(d), abs(c), 1.0)
-    if abs(c) + slack < abs(rhs):
-        return None
-    if abs(c) <= slack:
-        gamma = 1.0 + 0j
+    Q = np.asarray(forms)
+    A = np.einsum("jkl,ilk->ji", Q, _PAULI).real
+    b = -np.trace(Q, axis1=1, axis2=2).real / 2.0
+    U, sv, Vt = np.linalg.svd(A)
+    k = int(np.sum(sv > rtol * scale))
+    y = Vt[:k].T @ (U[:, :k].T @ b / sv[:k])
+    r = b - A @ y
+    ny = float(np.linalg.norm(y))
+    inconsistent = np.max(np.abs(r)) > rtol * scale
+    if inconsistent or ny > 0.5 + rtol:
+        c = -r if inconsistent else -U[:, :k] @ (Vt[:k] @ y / sv[:k])
+        c = c / np.linalg.norm(c)
+        return DefiniteCombination(coeffs=c, min_eig=_lambda_min(np.einsum("j,jkl->kl", c, Q)))
+    # within rounding of the sphere, sliding would turn the rounding of |y|
+    # into a root error of its square root
+    inside = ny < 0.5 - 1e-12
+    if k == 3 and inside:
+        floor = float(sv[2] * (0.5 - ny) / np.sqrt(len(Q)))
+        return Undecided(diagnostics={"root_residual_floor": floor})
+    if inside:
+        y = y + np.sqrt(0.25 - ny * ny) * Vt[k]
     else:
-        ratio = np.clip(rhs / abs(c), -1.0, 1.0)
-        psi = np.arccos(ratio) - np.angle(c)
-        gamma = np.exp(1j * psi)
-    root = P @ np.array([1.0 + 0j, gamma])
-    return root / np.linalg.norm(root)
+        y = y / (2.0 * ny)
+    v = np.linalg.eigh(np.eye(2) / 2 + np.einsum("i,ikl->kl", y, _PAULI))[1][:, 1]
+    return CommonRoot(vector=v, residual=max(abs(float(np.real(v.conj() @ q @ v))) for q in Q))
+
+
+def common_root_2d(q1, q2, opts: CertifyOptions | None = None):
+    """A common root of two Hermitian forms on C^2 (a unit vector), or
+    ``None`` when a real combination is definite; see
+    :func:`form_pair_dichotomy`."""
+    cert = form_pair_dichotomy(q1, q2, opts)
+    return cert.vector if isinstance(cert, CommonRoot) else None
 
 
 def form_pair_dichotomy(q1, q2, opts: CertifyOptions | None = None):
     """Certificate for a pair of Hermitian forms on C^2.
 
-    Exactly one of the two certificates exists for every pair: a definite
-    real combination excludes any nonzero common root, and the constructive
-    root criterion covers the complement (boundary cases, where the best
-    combination is only semidefinite, fall to the root side).
+    Exactly one of the two certificates exists for every pair, and one
+    least-squares solve finds it: a unit definite combination, or a common
+    root whose ``v v^*`` is the annihilated trace-one X >= 0.  Tolerances are
+    ``pd_tol`` times the larger form norm.
     """
     opts = opts or CertifyOptions()
     q1 = _hermitize(q1)
     q2 = _hermitize(q2)
+    if q1.shape != (2, 2) or q2.shape != (2, 2):
+        raise InvalidInputError("the pair dichotomy expects 2x2 Hermitian forms")
     scale = max(float(np.linalg.norm(q1, 2)), float(np.linalg.norm(q2, 2)))
-    if scale == 0.0:
-        return CommonRoot(vector=np.array([1.0 + 0j, 0.0]), residual=0.0)
-
-    # lambda_min along the coefficient circle, vectorized closed form
-    phis = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-    combos_p = np.cos(phis)[:, None, None] * q1[None] + np.sin(phis)[:, None, None] * q2[None]
-    tr = np.real(combos_p[:, 0, 0] + combos_p[:, 1, 1])
-    det_disc = np.sqrt(
-        (np.real(combos_p[:, 0, 0] - combos_p[:, 1, 1]) / 2.0) ** 2
-        + np.abs(combos_p[:, 0, 1]) ** 2
-    )
-    lmins = tr / 2.0 - det_disc
-    i0 = int(np.argmax(lmins))
-
-    def neg_lmin(phi):
-        combo = np.cos(phi) * q1 + np.sin(phi) * q2
-        return -_lambda_min(combo)
-
-    span = 2.0 * np.pi / 2048
-    res = scipy.optimize.minimize_scalar(
-        neg_lmin, bounds=(phis[i0] - span, phis[i0] + span), method="bounded",
-        options={"xatol": 1e-14},
-    )
-    best = max(-res.fun, lmins[i0])
-    phi = res.x if -res.fun >= lmins[i0] else phis[i0]
-    if best > opts.pd_tol * scale:
-        coeffs = np.array([np.cos(phi), np.sin(phi)])
-        combo = coeffs[0] * q1 + coeffs[1] * q2
-        return DefiniteCombination(coeffs=coeffs, min_eig=_lambda_min(combo))
-
-    return _pair_root(q1, q2, opts, {"best_min_eig": best})
-
-
-def _pair_root(q1, q2, opts, diagnostics):
-    """Root side of the pair dichotomy: the constructive root, retried with
-    the root tolerance relaxed to 1e-6 for boundary cases."""
-    root = common_root_2d(q1, q2, opts)
-    if root is None:
-        relaxed = CertifyOptions(**{**opts.__dict__, "root_tol": max(opts.root_tol, 1e-6)})
-        root = common_root_2d(q1, q2, relaxed)
-    if root is None:
-        return Undecided(diagnostics={**diagnostics, "reason": "no root at boundary"})
-    residual = max(abs(float(np.real(root.conj() @ q @ root))) for q in (q1, q2))
-    return CommonRoot(vector=root, residual=residual)
+    return _pair_certificate([q1, q2], scale, opts.pd_tol)
 
 
 def numeric_common_root(forms, opts: CertifyOptions | None = None, tol: float = 0.0):
@@ -428,25 +364,38 @@ def _reconstruct_phases(BS, r):
 def certify_minimizer(B, S: DiagonalScaling, opts: CertifyOptions | None = None):
     """Certify a candidate scaling via the restricted variational forms.
 
-    :func:`rollgap.matgap.dual_stationarity`, the test behind
-    ``converged_S``, runs first; a stationary scaling admits no definite
-    combination, so only the root side runs there.  One-dimensional clusters
-    always decide (the root, or the largest scalar form as the definite
-    combination).  Two-dimensional clusters whose forms span at most two real
-    directions fall to the constructive pair dichotomy; richer spans and
-    larger clusters go through the numeric searches and may return
-    ``Undecided`` with diagnostics, the expected outcome on the genuine gap
-    examples.
+    The certificate decides with the stationarity test behind ``converged_S``
+    (:func:`rollgap.matgap.dual_stationarity`, tolerance ``STATIONARY_RTOL``
+    times ``||B_S||^2``).  One-dimensional clusters always decide: the root,
+    or the largest scalar form as the definite combination.  Two-dimensional
+    clusters decide from that test's least-squares system alone
+    (:func:`_pair_certificate`); only three independent forms holding X
+    strictly inside the PSD ball leave the root open, and then the numeric
+    root search runs and an ``Undecided`` carries the proven
+    ``root_residual_floor``.  Larger clusters run the test and then the
+    numeric searches, and may return ``Undecided`` with diagnostics, the
+    expected outcome on the genuine gap examples.
     """
     opts = opts or CertifyOptions()
     M = as_matrix(B)
     F = variational_forms(M, S)
     BS = matgap.scale(M, S).entries
-    stationary, _ = matgap.dual_stationarity(F.forms, matgap.op_norm(ComplexMatrix(BS)) ** 2)
+    mu = matgap.op_norm(ComplexMatrix(BS)) ** 2
 
     def rooted(root, residual):
         return CommonRoot(vector=root, residual=residual,
                           phases=_reconstruct_phases(BS, F.basis @ root))
+
+    diagnostics = {}
+    if F.m == 2:
+        cert = _pair_certificate(F.forms, mu, matgap.STATIONARY_RTOL)
+        if isinstance(cert, CommonRoot):
+            return rooted(cert.vector, cert.residual)
+        if isinstance(cert, DefiniteCombination):
+            return cert
+        stationary, diagnostics = True, cert.diagnostics
+    else:
+        stationary, _ = matgap.dual_stationarity(F.forms, mu)
 
     if F.m == 1:
         vals = np.array([float(q[0, 0].real) for q in F.forms])
@@ -457,28 +406,6 @@ def certify_minimizer(B, S: DiagonalScaling, opts: CertifyOptions | None = None)
         coeffs = np.zeros(len(vals))
         coeffs[j] = np.sign(vals[j])
         return DefiniteCombination(coeffs=coeffs, min_eig=residual)
-
-    basis, coeffs = _orthonormal_form_basis(F.forms)
-    k = len(basis)
-    if k == 0:
-        root = np.zeros(F.m, dtype=complex)
-        root[0] = 1.0
-        return rooted(root, 0.0)
-
-    if F.m == 2 and k <= 2:
-        g1 = basis[0]
-        g2 = basis[1] if k == 2 else np.zeros((2, 2), dtype=complex)
-        cert = _pair_root(g1, g2, opts, {}) if stationary else form_pair_dichotomy(g1, g2, opts)
-        if isinstance(cert, DefiniteCombination):
-            # map coefficients on the orthonormal pair back to the originals
-            full = cert.coeffs[0] * coeffs[0]
-            if k == 2:
-                full = full + cert.coeffs[1] * coeffs[1]
-            return DefiniteCombination(coeffs=np.real(full), min_eig=cert.min_eig)
-        if isinstance(cert, CommonRoot):
-            root = cert.vector
-            return rooted(root, max(abs(float(np.real(root.conj() @ q @ root))) for q in F.forms))
-        return cert
 
     if not stationary:
         found = definite_combination_search(F, opts)
@@ -491,9 +418,10 @@ def certify_minimizer(B, S: DiagonalScaling, opts: CertifyOptions | None = None)
         return rooted(v, residual)
     return Undecided(diagnostics={
         "m": F.m,
-        "independent_forms": k,
+        "independent_forms": independent_count(F.forms),
         "best_root_residual": residual,
         "root_tolerance": opts.root_tol * max(scale_norm, 0.0),
+        **diagnostics,
     })
 
 

@@ -472,16 +472,6 @@ class SVCharacteristicFields:
             raise InvalidInputError("mode must be 1 or 2")
         return a * vec
 
-    def translation_mode(self, x):
-        """u-coordinates of the profile derivative, u = T^{-1} (h', U')."""
-        h = np.atleast_1d(np.asarray(self.profile.h_of_x(x)))
-        hp = self._slope(h)
-        Up = self._q * hp / h**2
-        phi = self._F * np.sqrt(h)
-        u1 = -hp / (2.0 * phi) + Up / 2.0
-        u2 = hp / (2.0 * phi) + Up / 2.0
-        return np.stack([u1, u2], axis=0)
-
     def jump_f0(self):
         """[f0] across the shock, downstream state minus upstream state."""
         m = self.profile.model

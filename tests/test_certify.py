@@ -17,6 +17,13 @@ def rand_sym(rng):
     return (a + a.T) / 2
 
 
+def rand_herm(rng, field):
+    a = rng.standard_normal((2, 2))
+    if field == "complex":
+        a = a + 1j * rng.standard_normal((2, 2))
+    return (a + a.conj().T) / 2
+
+
 def form_value(q, v):
     return float(np.real(v.conj() @ q @ v))
 
@@ -388,9 +395,10 @@ def test_numeric_common_root_stops_at_tolerance(monkeypatch):
 
 
 def test_certify_root_search_stops_at_tolerance(monkeypatch):
-    # criterion 2's second real 3x3 matrix: a stationary m = 2 scaling whose
-    # three independent forms send certify to numeric_common_root, where the
-    # first start already meets root_tol times the largest form norm
+    # criterion 2's second real 3x3 matrix: a stationary m = 2 scaling with
+    # three independent forms at rtol 1e-9, whose third singular value is
+    # below the stationarity tolerance, so the root comes from the dual X
+    # and no numeric start runs
     rng = np.random.default_rng(20260811)
     for n in (2, 3):
         for _ in range(100):
@@ -407,10 +415,100 @@ def test_certify_root_search_stops_at_tolerance(monkeypatch):
                         lambda *a, **k: starts.append(1) or solve(*a, **k))
     cert = cf.certify_minimizer(B, S)
     assert isinstance(cert, cf.CommonRoot)
-    assert len(starts) == 1
+    assert len(starts) == 0
     F = cf.variational_forms(mg.as_matrix(B), S)
     assert F.m == 2 and cf.independent_count(F.forms) == 3
     assert cert.residual <= cf.CertifyOptions().root_tol * F.max_norm()
+
+
+def test_every_m2_minimizer_of_criterion2_decided_without_search(monkeypatch):
+    # at m = 2 the dual system decides: a converged scaling gets a common
+    # root whose phases close the gap, any other a definite combination, and
+    # no optimizer runs
+    calls = []
+    for name in ("minimize", "minimize_scalar", "least_squares"):
+        fn = getattr(cf.scipy.optimize, name)
+        monkeypatch.setattr(cf.scipy.optimize, name,
+                            lambda *a, fn=fn, **k: calls.append(1) or fn(*a, **k))
+    kinds = {"common-root": 0, "definite-combination": 0}
+    for B in criterion2_ensemble():
+        _, S, _, conv = mg.min_scaled_norm(B)
+        F = cf.variational_forms(B, S)
+        if F.m != 2:
+            continue
+        calls.clear()
+        cert = cf.certify_minimizer(B, S)
+        assert not calls
+        assert conv == (cert.kind == "common-root")
+        kinds[cert.kind] += 1
+        if conv:
+            BS = mg.scale(B, S)
+            rho = mg.spectral_radius(mg.phase_apply(BS, cert.phases))
+            assert abs(rho - mg.op_norm(BS)) <= 1e-8 * mg.op_norm(BS)
+        else:
+            combo = sum(c * q for c, q in zip(cert.coeffs, F.forms))
+            assert np.linalg.eigvalsh(combo)[0] > 0
+    assert kinds == {"common-root": 26, "definite-combination": 52}
+
+
+def test_pair_floor_of_pauli_forms():
+    # the forms pin X at I/2; v^* sigma_i v is a unit vector of R^3, whose
+    # largest coordinate is at least 1/sqrt(3), so the floor is attained
+    cert = cf._pair_certificate(mg.pauli_like_forms(), 1.0, mg.STATIONARY_RTOL)
+    assert cert.kind == "undecided"
+    assert abs(cert.diagnostics["root_residual_floor"] - 1.0 / np.sqrt(3.0)) < 1e-12
+
+
+def test_certify_c4_root_residual_floor():
+    B, _, _ = mg.counterexample_c4()
+    S = mg.DiagonalScaling.identity(4)
+    diag = cf.certify_minimizer(B, S).diagnostics
+    floor = diag["root_residual_floor"]
+    assert 0.0 < floor <= diag["best_root_residual"]
+    # the floor holds for every unit vector of the cluster
+    F = cf.variational_forms(B, S)
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal((20_000, 2)) + 1j * rng.standard_normal((20_000, 2))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    values = np.einsum("pk,jkl,pl->pj", v.conj(), np.array(F.forms), v).real
+    assert np.min(np.max(np.abs(values), axis=1)) >= floor
+
+
+def circle_lambda_min(q1, q2, phis):
+    """lambda_min(cos(phi) q1 + sin(phi) q2) in closed form."""
+    c = np.cos(phis)[:, None, None] * q1 + np.sin(phis)[:, None, None] * q2
+    mean = (c[:, 0, 0].real + c[:, 1, 1].real) / 2.0
+    return mean - np.hypot((c[:, 0, 0].real - c[:, 1, 1].real) / 2.0, np.abs(c[:, 0, 1]))
+
+
+def test_pair_dichotomy_matches_circle_scan():
+    # oracle independent of the dual system: a definite combination exists
+    # exactly when lambda_min is positive somewhere on the coefficient circle,
+    # scanned densely and then refined about its best grid point
+    rng = np.random.default_rng(21)
+    coarse = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    step = coarse[1]
+    ambiguous = 0
+    for field in ("real", "complex"):
+        for _ in range(1000):
+            q1, q2 = (rand_herm(rng, field) for _ in range(2))
+            scale = max(np.linalg.norm(q1, 2), np.linalg.norm(q2, 2))
+            lam = circle_lambda_min(q1, q2, coarse)
+            fine = coarse[np.argmax(lam)] + np.linspace(-step, step, 4097)
+            best = max(lam.max(), circle_lambda_min(q1, q2, fine).max())
+            cert = cf.form_pair_dichotomy(q1, q2)
+            if cert.kind == "definite-combination":
+                combo = cert.coeffs[0] * q1 + cert.coeffs[1] * q2
+                assert cert.min_eig > 0 and np.linalg.eigvalsh(combo)[0] >= cert.min_eig - 1e-12
+                assert cert.min_eig <= best + step * scale
+            else:
+                assert cert.kind == "common-root"
+                assert max(abs(form_value(q, cert.vector)) for q in (q1, q2)) <= 1e-10 * scale
+            if abs(best) <= 1e-6 * scale:
+                ambiguous += 1
+            else:
+                assert (cert.kind == "definite-combination") == (best > 0)
+    assert ambiguous <= 5
 
 
 def test_dimension_count_values():

@@ -5,12 +5,13 @@ At a critical scaling the first variation of the top singular cluster is a
 family of Hermitian forms on the cluster subspace.  A local minimum forbids
 any definite real combination; a common nonzero root of all the forms
 rebuilds a phase multiplier U with rho(U B_S) = ||B_S|| and closes the gap.
-On C^2 one least-squares solve for the trace-one X >= 0 annihilated by the
-forms decides: its residual or its solution gives a definite combination,
-and X moved to the edge of the PSD ball is v v^* with v the root.  Three
-independent complex forms can pin X strictly inside the ball and evade
-both, which is precisely how the 4x4 gap matrix escapes; the same solve
-then bounds every unit vector's root residual from below.
+One least-squares solve for the trace-one X >= 0 annihilated by the forms
+decides: its residual or its solution gives a definite combination, and
+stepping X along the null directions of the forms until its rank drops to
+one (two for real forms) gives the root.  Forms that pin X at a unique point
+of rank above that, as three complex forms on C^2 do for the 4x4 gap matrix,
+have no root, and the same solve bounds every unit vector's root residual
+from below.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ counts = {"definite-combination": 0, "common-root": 0, "undecided": 0}
 for _ in range(2000):
     a = rng.standard_normal((2, 2))
     b = rng.standard_normal((2, 2))
-    cert = cf.form_pair_dichotomy((a + a.T) / 2, (b + b.T) / 2)
+    cert = cf.form_certificate([(a + a.T) / 2, (b + b.T) / 2])
     counts[cert.kind] += 1
 print(f"  2000 random real-symmetric pairs -> {counts}")
 
@@ -34,8 +35,8 @@ print("== three complex forms that defeat both certificates ==")
 pauli = mg.pauli_like_forms()
 print("  diag(1,-1), the real flip, and the imaginary flip:")
 print(f"  definite combination search -> {cf.definite_combination_search(pauli)}")
-v, res = cf.numeric_common_root(pauli, cf.CertifyOptions(root_starts=64))
-print(f"  best joint-root residual on the unit sphere -> {res:.4f} (far from 0)")
+floor = cf.form_certificate(pauli).diagnostics["root_residual_floor"]
+print(f"  proven root-residual floor on the unit sphere -> {floor:.4f} (= 1/sqrt(3))")
 
 print()
 print("== certification at actual minimizers ==")
@@ -52,15 +53,15 @@ B4, _, _ = mg.counterexample_c4()
 cert4 = cf.certify_minimizer(B4, mg.DiagonalScaling.identity(4))
 print(f"  4x4 gap matrix at the identity: {cert4.kind}")
 print(f"    diagnostics: {cert4.diagnostics}")
-print("    (root_residual_floor is proven; best_root_residual is the numeric search's best)")
+print("    (root_residual_floor is proven: no unit vector of the cluster comes closer)")
 
 print()
 print("== five real forms on C^3 (the dense frontier for real matrices) ==")
 five = cf.forms_r3_five()
 print(f"  independent forms: {cf.independent_count(five)} (out of the 6-dim space)")
 print(f"  definite combination -> {cf.definite_combination_search(five)}")
-_, res5 = cf.numeric_common_root(five, cf.CertifyOptions(root_starts=64))
-print(f"  joint-root residual floor -> {res5:.4f}")
+floor5 = cf.form_certificate(five).diagnostics["root_residual_floor"]
+print(f"  proven joint-root residual floor -> {floor5:.4f} (= 1/sqrt(30))")
 
 print()
 print("== why small dimensions are safe: orbit dimension counts ==")

@@ -13,18 +13,17 @@ certificates can emerge:
   reconstructs a diagonal phase multiplier U with ``rho(U B_S) = ||B_S||``
   and therefore certifies that the gap closes at this scaling.
 
-On C^2 the trace-one X >= 0 are the ball ``I/2 + y.sigma``, ``|y| <= 1/2``
-(sigma the Pauli matrices), so the duality test behind ``converged_S``,
-:func:`rollgap.matgap.dual_stationarity`, is exact there, and one
-least-squares solve of its system gives the verdict and the certificate: a
-definite combination read off the residual or the solution, or a common root
-v with ``v v^*`` the annihilated X moved to the sphere.  Two forms, or any
-number of real-symmetric ones, always decide.  Only three independent
-complex forms that hold X strictly inside the ball (the mechanism behind the
-4x4 gap matrix) evade both; then the solve also gives a proven floor on the
-root residual of every unit vector.  Clusters of dimension three or more run
-the same test and then the numeric searches, which report ``Undecided``
-with diagnostics when neither succeeds.
+Both are read off one least-squares solve, that of
+:func:`rollgap.matgap.dual_stationarity`, for the trace-one X >= 0
+annihilated by every form.  Its residual, or its solution when that is not
+PSD, gives a definite combination.  A PSD solution is reduced face by face
+(the rank bound of Barvinok and Pataki): stepping X along the null
+directions of the forms compressed to its range lowers its rank, and rank
+one, or two for real forms, is a common root.  When the system pins X at one
+point of higher rank, no root exists, and the same solve gives a proven
+floor on every unit vector's root residual.  The numeric searches run only
+where the solve cannot decide: a reduction that stalls with X not unique, or
+a non-PSD solution whose combination is not definite.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ __all__ = [
     "CertifyOptions",
     "variational_forms",
     "definite_combination_search",
-    "common_root_2d",
-    "form_pair_dichotomy",
+    "form_certificate",
     "numeric_common_root",
     "certify_minimizer",
     "forms_r3_five",
@@ -228,93 +226,139 @@ def definite_combination_search(F, opts: CertifyOptions | None = None):
     return None
 
 
-# X = I/2 + sum_i y_i sigma_i is the general trace-one Hermitian 2x2 matrix;
-# its eigenvalues are 1/2 +- |y|, so X >= 0 is the ball |y| <= 1/2
-_PAULI = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
-
-
-def _pair_certificate(forms, scale, rtol):
-    """Decide forms on C^2 from the dual system of
-    :func:`rollgap.matgap.dual_stationarity`.
-
-    ``<Q_j, X> = 0`` reads ``A y = b`` with ``A[j, i] = tr(Q_j sigma_i)`` and
-    ``b_j = -tr(Q_j)/2``.  Its least-squares solution nearest I/2, rank
-    counted at ``rtol * scale``, gives every outcome:
-
-    * a residual r above ``rtol * scale``: ``-sum r_j Q_j = |r|^2 I``, up to
-      the dropped singular values, is definite;
-    * ``|y| > 1/2 + rtol``: the c with ``A^T c = y`` makes ``-sum c_j Q_j =
-      |y|^2 I - y.sigma/2`` definite with lambda_min ``|y| (|y| - 1/2)``;
-    * otherwise some X >= 0 is annihilated.  Moving y along a null direction
-      of A to ``|y| = 1/2`` makes ``X = v v^*``, and v is a common root, with
-      its residual ``max_j |v^* Q_j v|`` attached;
-    * with no null direction and ``|y| < 1/2`` no such move exists: every
-      unit v, whose ``v v^*`` is ``I/2 + w.sigma`` with ``|w| = 1/2``, has
-      form values ``A (w - y) - r``, so ``sigma_min(A) (1/2 - |y|) /
-      sqrt(n)`` is a proven floor on its residual, returned as ``Undecided``.
-    """
-    Q = np.asarray(forms)
-    A = np.einsum("jkl,ilk->ji", Q, _PAULI).real
-    b = -np.trace(Q, axis1=1, axis2=2).real / 2.0
-    U, sv, Vt = np.linalg.svd(A)
-    k = int(np.sum(sv > rtol * scale))
-    y = Vt[:k].T @ (U[:, :k].T @ b / sv[:k])
-    r = b - A @ y
-    ny = float(np.linalg.norm(y))
-    inconsistent = np.max(np.abs(r)) > rtol * scale
-    if inconsistent or ny > 0.5 + rtol:
-        c = -r if inconsistent else -U[:, :k] @ (Vt[:k] @ y / sv[:k])
-        c = c / np.linalg.norm(c)
-        return DefiniteCombination(coeffs=c, min_eig=_lambda_min(np.einsum("j,jkl->kl", c, Q)))
-    # within rounding of the sphere, sliding would turn the rounding of |y|
-    # into a root error of its square root
-    inside = ny < 0.5 - 1e-12
-    if k == 3 and inside:
-        floor = float(sv[2] * (0.5 - ny) / np.sqrt(len(Q)))
-        return Undecided(diagnostics={"root_residual_floor": floor})
-    if inside:
-        y = y + np.sqrt(0.25 - ny * ny) * Vt[k]
-    else:
-        y = y / (2.0 * ny)
-    v = np.linalg.eigh(np.eye(2) / 2 + np.einsum("i,ikl->kl", y, _PAULI))[1][:, 1]
+def _root(v, Q):
+    v = np.asarray(v, dtype=complex)
     return CommonRoot(vector=v, residual=max(abs(float(np.real(v.conj() @ q @ v))) for q in Q))
 
 
-def common_root_2d(q1, q2, opts: CertifyOptions | None = None):
-    """A common root of two Hermitian forms on C^2 (a unit vector), or
-    ``None`` when a real combination is definite; see
-    :func:`form_pair_dichotomy`."""
-    cert = form_pair_dichotomy(q1, q2, opts)
-    return cert.vector if isinstance(cert, CommonRoot) else None
+def _face(Q, X, scale, rtol):
+    """Eigenpairs ``(lam, W)`` of a lowest face reached from the annihilated
+    X >= 0.  Eigenvalues up to ``rtol`` count as zero.  While the forms
+    compressed to range(X), ``W^* Q_j W``, annihilate a traceless direction Z
+    (the null space of the same solve on the compressed forms), X steps along
+    Z until an eigenvalue hits 0; the loop ends at rank 1 or where no such Z
+    is left.  Each step lowers the rank, so m passes suffice."""
+    for _ in range(len(X)):
+        lam, vecs = np.linalg.eigh(X)
+        keep = lam > rtol
+        lam, W = lam[keep] / np.sum(lam[keep]), vecs[:, keep]
+        if lam.size == 1:
+            return lam, W
+        sub = matgap.dual_stationarity(np.einsum("ka,jkl,lb->jab", W.conj(), Q, W), scale, rtol)
+        if sub.rank == len(sub.basis):
+            return lam, W
+        Z = np.einsum("i,ikl->kl", sub.Vt[sub.rank], sub.basis)
+        t = -1.0 / np.linalg.eigvalsh(Z / np.sqrt(np.outer(lam, lam)))[0]
+        X = W @ (np.diag(lam) + t * Z) @ W.conj().T
+    return lam, W
 
 
-def form_pair_dichotomy(q1, q2, opts: CertifyOptions | None = None):
-    """Certificate for a pair of Hermitian forms on C^2.
+def _dual_certificate(forms, scale, rtol, opts):
+    """Decide Hermitian forms on C^m (m >= 2) from the dual solve of
+    :func:`rollgap.matgap.dual_stationarity` at tolerance ``rtol * scale``.
 
-    Exactly one of the two certificates exists for every pair, and one
-    least-squares solve finds it: a unit definite combination, or a common
-    root whose ``v v^*`` is the annihilated trace-one X >= 0.  Tolerances are
-    ``pd_tol`` times the larger form norm.
+    With ``X_0 = I/m + Y_0`` the least-squares solution and r its residual:
+
+    * r above the tolerance: ``-sum r_j Q_j = |r|^2 I``, up to the dropped
+      singular values, is definite;
+    * ``X_0`` not PSD: the minimum-norm c with ``A^T c = y`` gives ``-sum c_j
+      Q_j = ||Y_0||_F^2 I - Y_0``, returned when definite;
+    * ``X_0 >= 0``: :func:`_face` reduces it.  Rank 1 is ``v v^*`` with v a
+      common root; for real forms rank 2, ``X = l_1 u_1 u_1^T + l_2 u_2
+      u_2^T``, gives the root ``sqrt(l_1) u_1 + i sqrt(l_2) u_2``, since
+      ``v^* Q v = <Q, Re v v^*>``;
+    * a full-column-rank system pins X at ``X_0``.  Every unit v has form
+      values ``A (y_v - y) - r``, where ``I/m + sum (y_v)_i E_i`` is ``v v^*``
+      (its real part for real forms).  No singular value is dropped, so r is
+      orthogonal to the range of A and ``sigma_min(A) d / sqrt(n)`` is a
+      proven floor on the root residual, with d the least Frobenius distance
+      from ``X_0`` to such a matrix: ``d^2 = 1 - 2 l_max + ||X_0||_F^2`` for
+      complex forms, and ``2 delta^2 + sum_{i >= 3} l_i^2`` with ``delta = (1
+      - l_1 - l_2) / 2`` for real ones (eigenvalues descending).  It is
+      returned as ``Undecided``.
+
+    Only two cases search: a reduction that stalls above rank 1 (2 for real
+    forms) with X not unique runs :func:`numeric_common_root` from X's top
+    eigenvector, and a non-PSD ``X_0`` whose c is not definite runs
+    :func:`definite_combination_search` first.
+    """
+    Q = np.asarray(forms)
+    if not np.any(Q.imag):
+        Q = Q.real
+    s = matgap.dual_stationarity(Q, scale, rtol)
+    stationary, X = s
+    if not stationary:
+        k = s.rank
+        if np.max(np.abs(s.residual)) > rtol * scale:
+            c = -s.residual
+        else:
+            c = -s.U[:, :k] @ (s.Vt[:k] @ s.y / s.sv[:k])
+        c = c / np.linalg.norm(c)
+        min_eig = _lambda_min(np.einsum("j,jkl->kl", c, Q))
+        if min_eig > 0:
+            return DefiniteCombination(coeffs=c, min_eig=min_eig)
+        found = definite_combination_search(list(Q), opts)
+        if found is not None:
+            return DefiniteCombination(coeffs=found[0], min_eig=found[1])
+        return _searched_root(Q, opts, np.linalg.eigh(X)[1][:, -1])
+    lam, W = _face(Q, X, scale, rtol)
+    if lam.size == 1:
+        return _root(W[:, 0], Q)
+    if lam.size == 2 and not np.iscomplexobj(Q):
+        return _root(np.sqrt(lam[1]) * W[:, 1] + 1j * np.sqrt(lam[0]) * W[:, 0], Q)
+    if s.rank == len(s.basis):
+        ev = np.linalg.eigvalsh(X)[::-1]
+        if np.iscomplexobj(Q):
+            d2 = 1.0 - 2.0 * ev[0] + np.sum(ev * ev)
+        else:
+            d2 = 0.5 * (1.0 - ev[0] - ev[1]) ** 2 + np.sum(ev[2:] ** 2)
+        floor = s.sv[-1] * np.sqrt(d2) / np.sqrt(len(Q))
+        return Undecided(diagnostics={"m": Q.shape[1], "independent_forms": independent_count(Q),
+                                      "root_residual_floor": float(floor)})
+    return _searched_root(Q, opts, W[:, -1])
+
+
+def _searched_root(Q, opts, start):
+    norm = max(float(np.linalg.norm(q, 2)) for q in Q)
+    tol = opts.root_tol * max(norm, 1e-300)
+    v, residual = numeric_common_root(Q, opts, tol, start)
+    if residual <= tol:
+        return CommonRoot(vector=v, residual=residual)
+    return Undecided(diagnostics={
+        "m": Q.shape[1],
+        "independent_forms": independent_count(Q),
+        "best_root_residual": residual,
+        "root_tolerance": opts.root_tol * norm,
+    })
+
+
+def form_certificate(forms, opts: CertifyOptions | None = None):
+    """Certificate for Hermitian forms on C^m (m >= 2) from one dual solve:
+    a unit definite combination, a common root, or ``Undecided`` with a
+    proven ``root_residual_floor`` or the searches' best values; see
+    :func:`_dual_certificate`.  The tolerance is ``pd_tol`` times the largest
+    form norm.  At m = 2 every pair decides.
     """
     opts = opts or CertifyOptions()
-    q1 = _hermitize(q1)
-    q2 = _hermitize(q2)
-    if q1.shape != (2, 2) or q2.shape != (2, 2):
-        raise InvalidInputError("the pair dichotomy expects 2x2 Hermitian forms")
-    scale = max(float(np.linalg.norm(q1, 2)), float(np.linalg.norm(q2, 2)))
-    return _pair_certificate([q1, q2], scale, opts.pd_tol)
+    Q = [_hermitize(q) for q in forms]
+    if not Q or Q[0].ndim != 2 or Q[0].shape[0] < 2 or any(q.shape != Q[0].shape for q in Q):
+        raise InvalidInputError("expected a non-empty list of square forms of one size m >= 2")
+    scale = max(float(np.linalg.norm(q, 2)) for q in Q)
+    return _dual_certificate(Q, scale, opts.pd_tol, opts)
 
 
-def numeric_common_root(forms, opts: CertifyOptions | None = None, tol: float = 0.0):
+def numeric_common_root(forms, opts: CertifyOptions | None = None, tol: float = 0.0, start=None):
     """Multi-start least-squares search for a joint root of Hermitian forms.
 
     Minimizes the vector of form values over the unit sphere of C^m and
     returns ``(vector, residual)`` with ``residual = max_j |v^* Q_j v|`` at
-    the best point found; no root formula exists beyond two dimensions, so
-    the result is a numerical floor rather than a proof of absence.  The
-    starts end at the first point whose residual is at most the absolute
-    tolerance ``tol``; at the default 0 that is an exact root, which no later
-    start could improve on, so the result is that of all ``root_starts``.
+    the best point found.  The search minimizes the 2-norm of the values, so
+    the residual is the best found, neither the least max-residual nor a
+    floor (see :func:`form_certificate` for a proven one).  The first start
+    is ``start`` when given, else the all-ones vector.  The starts end at the
+    first point whose residual is at most the absolute tolerance ``tol``; at
+    the default 0 that is an exact root, which no later start could improve
+    on, so the result is that of all ``root_starts``.
     """
     opts = opts or CertifyOptions()
     forms = [_hermitize(q) for q in forms]
@@ -334,7 +378,8 @@ def numeric_common_root(forms, opts: CertifyOptions | None = None, tol: float = 
     best_res = np.inf
     for k in range(opts.root_starts):
         if k == 0:
-            x0 = np.concatenate([np.ones(m), np.zeros(m)])
+            v0 = np.ones(m) if start is None else np.asarray(start, dtype=complex)
+            x0 = np.concatenate([v0.real, v0.imag])
         else:
             x0 = rng.standard_normal(2 * m)
         sol = scipy.optimize.least_squares(residuals, x0, method="trf",
@@ -364,17 +409,15 @@ def _reconstruct_phases(BS, r):
 def certify_minimizer(B, S: DiagonalScaling, opts: CertifyOptions | None = None):
     """Certify a candidate scaling via the restricted variational forms.
 
-    The certificate decides with the stationarity test behind ``converged_S``
+    The certificate reads the stationarity solve behind ``converged_S``
     (:func:`rollgap.matgap.dual_stationarity`, tolerance ``STATIONARY_RTOL``
-    times ``||B_S||^2``).  One-dimensional clusters always decide: the root,
-    or the largest scalar form as the definite combination.  Two-dimensional
-    clusters decide from that test's least-squares system alone
-    (:func:`_pair_certificate`); only three independent forms holding X
-    strictly inside the PSD ball leave the root open, and then the numeric
-    root search runs and an ``Undecided`` carries the proven
-    ``root_residual_floor``.  Larger clusters run the test and then the
-    numeric searches, and may return ``Undecided`` with diagnostics, the
-    expected outcome on the genuine gap examples.
+    times ``||B_S||^2``).  One-dimensional clusters keep the scalar test: the
+    root, or the largest scalar form as the definite combination.  Larger
+    clusters are decided by :func:`_dual_certificate`: a definite
+    combination, a common root from the face reduction of the dual X, or
+    ``Undecided`` with the proven ``root_residual_floor`` (the outcome on the
+    genuine gap examples), the numeric searches running only where the
+    solve cannot decide.
     """
     opts = opts or CertifyOptions()
     M = as_matrix(B)
@@ -386,18 +429,8 @@ def certify_minimizer(B, S: DiagonalScaling, opts: CertifyOptions | None = None)
         return CommonRoot(vector=root, residual=residual,
                           phases=_reconstruct_phases(BS, F.basis @ root))
 
-    diagnostics = {}
-    if F.m == 2:
-        cert = _pair_certificate(F.forms, mu, matgap.STATIONARY_RTOL)
-        if isinstance(cert, CommonRoot):
-            return rooted(cert.vector, cert.residual)
-        if isinstance(cert, DefiniteCombination):
-            return cert
-        stationary, diagnostics = True, cert.diagnostics
-    else:
-        stationary, _ = matgap.dual_stationarity(F.forms, mu)
-
     if F.m == 1:
+        stationary, _ = matgap.dual_stationarity(F.forms, mu)
         vals = np.array([float(q[0, 0].real) for q in F.forms])
         residual = float(np.max(np.abs(vals)))
         if stationary:
@@ -407,22 +440,10 @@ def certify_minimizer(B, S: DiagonalScaling, opts: CertifyOptions | None = None)
         coeffs[j] = np.sign(vals[j])
         return DefiniteCombination(coeffs=coeffs, min_eig=residual)
 
-    if not stationary:
-        found = definite_combination_search(F, opts)
-        if found is not None:
-            return DefiniteCombination(coeffs=found[0], min_eig=found[1])
-    scale_norm = F.max_norm()
-    tol = opts.root_tol * max(scale_norm, 1e-300)
-    v, residual = numeric_common_root(F.forms, opts, tol)
-    if residual <= tol:
-        return rooted(v, residual)
-    return Undecided(diagnostics={
-        "m": F.m,
-        "independent_forms": independent_count(F.forms),
-        "best_root_residual": residual,
-        "root_tolerance": opts.root_tol * max(scale_norm, 0.0),
-        **diagnostics,
-    })
+    cert = _dual_certificate(F.forms, mu, matgap.STATIONARY_RTOL, opts)
+    if isinstance(cert, CommonRoot):
+        return rooted(cert.vector, cert.residual)
+    return cert
 
 
 def forms_r3_five():

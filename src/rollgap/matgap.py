@@ -28,6 +28,7 @@ test that :mod:`rollgap.certify` runs too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -53,6 +54,7 @@ __all__ = [
     "min_scaled_norm",
     "top_cluster_forms",
     "dual_stationarity",
+    "DualSolve",
     "PhaseMax",
     "max_phase_rho",
     "gap",
@@ -385,33 +387,75 @@ def top_cluster_forms(BS):
                for j in range(n)]
 
 
-def dual_stationarity(forms, mu):
+@functools.lru_cache(maxsize=None)
+def _traceless_basis(m, real):
+    """Frobenius-orthonormal basis, shape ``(D, m, m)``, of the traceless
+    Hermitian m x m matrices (``D = m^2 - 1``), or of the traceless real
+    symmetric ones when ``real`` (``D = m (m + 1) / 2 - 1``)."""
+    E = []
+    for k in range(1, m):
+        d = np.zeros(m)
+        d[:k] = 1.0
+        d[k] = -k
+        E.append(np.diag(d / np.sqrt(k * (k + 1.0))))
+    for k, l in itertools.combinations(range(m), 2):
+        e = np.zeros((m, m))
+        e[k, l] = e[l, k] = np.sqrt(0.5)
+        E.append(e)
+        if not real:
+            E.append(1j * (np.triu(e) - np.tril(e)))
+    E = np.array(E, dtype=float if real else complex).reshape(-1, m, m)
+    E.setflags(write=False)
+    return E
+
+
+class DualSolve(tuple):
+    """``(stationary, X)`` of :func:`dual_stationarity`, with the
+    least-squares solve it read as attributes: the coordinate ``basis`` of
+    the traceless matrices, the SVD ``U, sv, Vt`` of the system matrix
+    ``A[j, i] = <Q_j, basis[i]>``, its ``rank`` (singular values above the
+    tolerance), the solution ``y`` (``X = I/m + sum_i y_i basis[i]``) and the
+    ``residual`` ``r_j = -<Q_j, X>``."""
+
+    def __new__(cls, stationary, X, **solve):
+        out = super().__new__(cls, (stationary, X))
+        out.__dict__.update(solve)
+        return out
+
+
+def dual_stationarity(forms, mu, rtol=STATIONARY_RTOL):
     """Decide whether the scaling that produced ``forms`` is a minimizer.
 
     The squared norm is convex in the logs, and its subdifferential at a
     scaling is ``{(<Q_j, X>)_j : X >= 0, tr X = 1}`` over the top-cluster
     forms Q_j (Lewis & Overton, Acta Numerica 1996), so the scaling is a
     minimizer exactly when some trace-one X >= 0 is annihilated by every
-    form.  The test takes the trace-one Hermitian X nearest ``I/m`` with
-    ``<Q_j, X> = 0`` in the least-squares sense and returns ``(stationary,
-    X)``, where ``stationary`` means ``max_j |<Q_j, X>| <= STATIONARY_RTOL *
-    mu`` and ``lambda_min(X) >= -STATIONARY_RTOL``.  At m = 1 this is the
-    scalar test ``max_j |Q_j| <= STATIONARY_RTOL * mu``; at m = 2 it is
-    exact, since the trace-one PSD 2x2 matrices are a ball about I/2; at
+    form.  The test writes ``X = I/m + Y`` with Y in Frobenius-orthonormal
+    coordinates on the traceless Hermitian matrices (real symmetric ones for
+    real forms), solves ``<Q_j, X> = 0`` by least squares with the rank
+    counted at ``rtol * mu``, and returns the :class:`DualSolve` ``(stationary,
+    X)`` of the minimum-norm solution, the X nearest ``I/m``.  ``stationary``
+    means ``max_j |<Q_j, X>| <= rtol * mu`` and ``lambda_min(X) >= -rtol``.
+    At m = 1 this is the scalar test ``max_j |Q_j| <= rtol * mu``; at m = 2 it
+    is exact, since the trace-one PSD 2x2 matrices are a ball about I/2; at
     m >= 3 a pass is a proof and a fail means "not verified".
     """
     Q = np.asarray(forms)
-    n, m = Q.shape[0], Q.shape[1]
-    tr = np.trace(Q, axis1=1, axis2=2).real
-    # X = I/m + Y with Y traceless: <Q_j, X> = tr(Q_j)/m + <Q_j - tr(Q_j) I/m, Y>
-    Qt = Q - (tr / m)[:, None, None] * np.eye(m)
-    A = np.concatenate([Qt.real.reshape(n, -1), Qt.imag.reshape(n, -1)], axis=1)
-    y = np.linalg.lstsq(A, -tr / m, rcond=None)[0]
-    Y = (y[: m * m] + 1j * y[m * m:]).reshape(m, m)
-    X = np.eye(m) / m + 0.5 * (Y + Y.conj().T)
-    residual = float(np.max(np.abs(np.einsum("jkl,kl->j", Q.conj(), X).real)))
-    lam = float(np.linalg.eigvalsh(X)[0])
-    return residual <= STATIONARY_RTOL * mu and lam >= -STATIONARY_RTOL, X
+    real = not np.any(Q.imag)
+    if real:
+        Q = Q.real
+    m = Q.shape[1]
+    E = _traceless_basis(m, real)
+    b = -np.trace(Q, axis1=1, axis2=2).real / m
+    A = np.einsum("jkl,ilk->ji", Q, E).real
+    U, sv, Vt = np.linalg.svd(A)
+    k = int(np.sum(sv > rtol * mu))
+    y = Vt[:k].T @ (U[:, :k].T @ b / sv[:k])
+    X = np.eye(m) / m + np.einsum("i,ikl->kl", y, E)
+    r = b - A @ y
+    stationary = (float(np.max(np.abs(r))) <= rtol * mu
+                  and float(np.linalg.eigvalsh(X)[0]) >= -rtol)
+    return DualSolve(stationary, X, basis=E, U=U, sv=sv, Vt=Vt, rank=k, y=y, residual=r)
 
 
 def min_scaled_norm(B, opts: GapOptions | None = None):

@@ -105,7 +105,7 @@ def test_criterion_05_certification_dichotomy():
         b = rng.standard_normal((2, 2))
         q1 = ((a + a.T) / 2).astype(complex)
         q2 = ((b + b.T) / 2).astype(complex)
-        cert = cf.form_pair_dichotomy(q1, q2)
+        cert = cf.form_certificate([q1, q2])
         if cert.kind == "undecided":
             undecided += 1
         elif cert.kind == "definite-combination":
@@ -120,7 +120,7 @@ def test_criterion_05_certification_dichotomy():
                 bad_reverify += 1
     pauli = mg.pauli_like_forms()
     no_def = cf.definite_combination_search(pauli) is None
-    _, floor = cf.numeric_common_root(pauli, cf.CertifyOptions(root_starts=64))
+    floor = cf.form_certificate(pauli).diagnostics["root_residual_floor"]
     conds = {
         "zero undecided": undecided == 0,
         "all reverify": bad_reverify == 0,

@@ -40,6 +40,55 @@ def criterion2_ensemble():
             yield rng.standard_normal((n, n)) / np.sqrt(n)
 
 
+def sampled_least_residual(forms, seed=8, count=20_000):
+    """Smallest max-residual ``max_j |v^* Q_j v|`` over random complex unit
+    vectors: an upper bound on the least one, so never below a floor."""
+    m = forms[0].shape[0]
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    values = np.einsum("pk,jkl,pl->pj", v.conj(), np.array(forms), v).real
+    return float(np.min(np.max(np.abs(values), axis=1)))
+
+
+def parseval_frame(rng, n, m, field):
+    """An n x m equal-norm Parseval frame (orthonormal columns, every row of
+    squared norm m/n), by alternating the polar factor with row
+    normalization from a Gaussian start."""
+    a = rng.standard_normal((n, m))
+    if field == "complex":
+        a = a + 1j * rng.standard_normal((n, m))
+    for _ in range(5000):
+        u, _, vh = np.linalg.svd(a, full_matrices=False)
+        a = u @ vh
+        rows = np.linalg.norm(a, axis=1)
+        if np.max(np.abs(rows * rows - m / n)) < 1e-14:
+            return a
+        a = a * (np.sqrt(m / n) / rows)[:, None]
+    raise AssertionError("frame iteration did not converge")
+
+
+def frame_matrix(seed, n, m, field):
+    """B = W V^* from two equal-norm Parseval frames.  B^* B = V V^*, so S = I
+    is a minimizer of the scaled norm (value 1) with an m-dimensional top
+    cluster, range(V), and traceless forms 2 (w_j w_j^* - v_j v_j^*)."""
+    rng = np.random.default_rng(seed)
+    V = parseval_frame(rng, n, m, field)
+    W = parseval_frame(rng, n, m, field)
+    return W @ V.conj().T
+
+
+@pytest.fixture
+def optimizer_calls(monkeypatch):
+    """Calls of the ``scipy.optimize`` solvers made while the test runs."""
+    calls = []
+    for name in ("minimize", "minimize_scalar", "least_squares"):
+        fn = getattr(cf.scipy.optimize, name)
+        monkeypatch.setattr(cf.scipy.optimize, name,
+                            lambda *a, fn=fn, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # variational forms
 # ---------------------------------------------------------------------------
@@ -127,10 +176,18 @@ def test_definite_combination_second_form_works():
 # ---------------------------------------------------------------------------
 
 
+def pair_root(q1, q2):
+    """The common root of a pair on C^2, or None when the certificate is a
+    definite combination (a pair always decides)."""
+    cert = cf.form_certificate([q1, q2])
+    assert cert.kind in ("common-root", "definite-combination")
+    return cert.vector if cert.kind == "common-root" else None
+
+
 def test_common_root_indefinite_pair():
     q1 = np.diag([1.0, -1.0]).astype(complex)
     q2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    v = cf.common_root_2d(q1, q2)
+    v = pair_root(q1, q2)
     assert v is not None
     # direct substitution oracle: |x1| = |x2| and Re(conj(x1) x2) = 0
     assert abs(abs(v[0]) - abs(v[1])) < 1e-12
@@ -143,7 +200,7 @@ def test_common_root_indefinite_pair():
 def test_common_root_criterion_failure():
     q1 = np.diag([1.0, -4.0]).astype(complex)
     q2 = np.diag([8.0, -2.0]).astype(complex)
-    assert cf.common_root_2d(q1, q2) is None
+    assert pair_root(q1, q2) is None
     # brute-force oracle: some combination sigma q1 + q2 has positive determinant
     sigmas = np.linspace(-20, 20, 4001)
     dets = (sigmas + 8.0) * (-4.0 * sigmas - 2.0)
@@ -152,13 +209,13 @@ def test_common_root_criterion_failure():
 
 def test_common_root_zero_second_form():
     q1 = np.diag([1.0, -1.0]).astype(complex)
-    v = cf.common_root_2d(q1, np.zeros((2, 2)))
+    v = pair_root(q1, np.zeros((2, 2)))
     assert v is not None
     assert abs(form_value(q1, v)) < 1e-12
 
 
 def test_common_root_both_zero_degenerate():
-    v = cf.common_root_2d(np.zeros((2, 2)), np.zeros((2, 2)))
+    v = pair_root(np.zeros((2, 2)), np.zeros((2, 2)))
     assert np.allclose(v, [1.0, 0.0])
 
 
@@ -166,16 +223,16 @@ def test_common_root_semidefinite_first_form():
     # PSD rank one: null line is the second basis direction
     q1 = np.diag([1.0, 0.0]).astype(complex)
     q2 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    v = cf.common_root_2d(q1, q2)
+    v = pair_root(q1, q2)
     assert v is not None
     assert abs(v[0]) < 1e-8
     # and with a second form that does not vanish on the line: no root
     q3 = np.diag([0.0, 1.0]).astype(complex)
-    assert cf.common_root_2d(q1, q3) is None
+    assert pair_root(q1, q3) is None
 
 
 def test_common_root_definite_first_form():
-    assert cf.common_root_2d(np.eye(2), np.diag([1.0, -1.0])) is None
+    assert pair_root(np.eye(2), np.diag([1.0, -1.0])) is None
 
 
 def test_common_root_congruence_mapped_back():
@@ -185,13 +242,13 @@ def test_common_root_congruence_mapped_back():
     for _ in range(50):
         q1 = rand_sym(rng).astype(complex)
         q2 = rand_sym(rng).astype(complex)
-        v = cf.common_root_2d(q1, q2)
+        v = pair_root(q1, q2)
         if v is None:
             continue
         P = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         while abs(np.linalg.det(P)) < 0.1:
             P = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        vt = cf.common_root_2d(P.conj().T @ q1 @ P, P.conj().T @ q2 @ P)
+        vt = pair_root(P.conj().T @ q1 @ P, P.conj().T @ q2 @ P)
         assert vt is not None
         w = P @ vt
         w /= np.linalg.norm(w)
@@ -210,7 +267,7 @@ def test_dichotomy_exclusive_on_random_real_pairs():
     for _ in range(2000):
         q1 = rand_sym(rng).astype(complex)
         q2 = rand_sym(rng).astype(complex)
-        cert = cf.form_pair_dichotomy(q1, q2)
+        cert = cf.form_certificate([q1, q2])
         counts[cert.kind] += 1
         if cert.kind == "definite-combination":
             combo = cert.coeffs[0] * q1 + cert.coeffs[1] * q2
@@ -234,7 +291,7 @@ def test_dual_stationarity_exact_for_pairs():
     for _ in range(300):
         pair = [rand_sym(rng).astype(complex) for _ in range(2)]
         ok, X = mg.dual_stationarity(pair, 1.0)
-        assert ok == (cf.form_pair_dichotomy(*pair).kind != "definite-combination")
+        assert ok == (cf.form_certificate(pair).kind != "definite-combination")
         counts[ok] += 1
         if ok:
             assert max(abs(np.trace(q @ X).real) for q in pair) < 1e-6
@@ -325,7 +382,7 @@ def test_certify_c4_undecided_with_floor():
     B, _, _ = mg.counterexample_c4()
     cert = cf.certify_minimizer(B, mg.DiagonalScaling.identity(4))
     assert cert.kind == "undecided"
-    assert cert.diagnostics["best_root_residual"] > 0.01
+    assert cert.diagnostics["root_residual_floor"] > 0.01
 
 
 def test_certify_diagonal_basis_vector():
@@ -356,8 +413,14 @@ def test_forms_r3_five_properties():
     forms = cf.forms_r3_five()
     assert cf.independent_count(forms) == 5
     assert cf.definite_combination_search(forms) is None
-    _, res = cf.numeric_common_root(forms, cf.CertifyOptions(root_starts=64))
-    assert res > 0.01
+    # the forms pin X at I/3, at squared distance 2 (1/6)^2 + (1/3)^2 = 1/6
+    # from the trace-one rank-two matrices; with sigma_min(A) = 1 the floor is
+    # sqrt(1/6) / sqrt(5) = 1/sqrt(30)
+    cert = cf.form_certificate(forms)
+    floor = cert.diagnostics["root_residual_floor"]
+    assert abs(floor - 1.0 / np.sqrt(30.0)) < 1e-12
+    assert floor > 0.01
+    assert sampled_least_residual(forms) >= floor
 
 
 def test_numeric_common_root_stops_at_tolerance(monkeypatch):
@@ -454,24 +517,60 @@ def test_every_m2_minimizer_of_criterion2_decided_without_search(monkeypatch):
 def test_pair_floor_of_pauli_forms():
     # the forms pin X at I/2; v^* sigma_i v is a unit vector of R^3, whose
     # largest coordinate is at least 1/sqrt(3), so the floor is attained
-    cert = cf._pair_certificate(mg.pauli_like_forms(), 1.0, mg.STATIONARY_RTOL)
+    cert = cf.form_certificate(mg.pauli_like_forms())
     assert cert.kind == "undecided"
     assert abs(cert.diagnostics["root_residual_floor"] - 1.0 / np.sqrt(3.0)) < 1e-12
 
 
-def test_certify_c4_root_residual_floor():
+def test_certify_c4_root_residual_floor(optimizer_calls):
     B, _, _ = mg.counterexample_c4()
     S = mg.DiagonalScaling.identity(4)
-    diag = cf.certify_minimizer(B, S).diagnostics
-    floor = diag["root_residual_floor"]
-    assert 0.0 < floor <= diag["best_root_residual"]
+    floor = cf.certify_minimizer(B, S).diagnostics["root_residual_floor"]
+    assert not optimizer_calls
+    assert 0.0 < floor
     # the floor holds for every unit vector of the cluster
-    F = cf.variational_forms(B, S)
-    rng = np.random.default_rng(8)
-    v = rng.standard_normal((20_000, 2)) + 1j * rng.standard_normal((20_000, 2))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    values = np.einsum("pk,jkl,pl->pj", v.conj(), np.array(F.forms), v).real
-    assert np.min(np.max(np.abs(values), axis=1)) >= floor
+    assert sampled_least_residual(cf.variational_forms(B, S).forms) >= floor
+
+
+@pytest.mark.parametrize("n, m, field", [(5, 3, "real"), (5, 4, "real"), (3, 3, "complex")])
+def test_frame_root_from_face_reduction(optimizer_calls, n, m, field):
+    # the dual X reduces to rank 1 (or 2 for real forms) with no optimizer,
+    # and the root's phases close the gap
+    for seed in range(3):
+        B = frame_matrix(seed, n, m, field)
+        S = mg.DiagonalScaling.identity(n)
+        F = cf.variational_forms(B, S)
+        assert F.m == m
+        optimizer_calls.clear()
+        cert = cf.certify_minimizer(B, S)
+        assert not optimizer_calls
+        assert cert.kind == "common-root"
+        assert cert.residual <= cf.CertifyOptions().root_tol * F.max_norm()
+        assert abs(mg.spectral_radius(mg.phase_apply(B, cert.phases)) - 1.0) <= 1e-8
+
+
+def test_real_6x6_frame_floor_without_search(optimizer_calls):
+    # five real forms on a three-dimensional cluster pin X at I/3, which has
+    # rank 3: no root, and the floor comes with no optimizer call
+    for seed in range(3):
+        B = frame_matrix(seed, 6, 3, "real")
+        S = mg.DiagonalScaling.identity(6)
+        optimizer_calls.clear()
+        cert = cf.certify_minimizer(B, S)
+        assert not optimizer_calls
+        assert cert.kind == "undecided"
+        floor = cert.diagnostics["root_residual_floor"]
+        assert 0.0 < floor <= sampled_least_residual(cf.variational_forms(B, S).forms)
+
+
+def test_stalled_complex_4x4_frame_searches_for_root(optimizer_calls):
+    # the face reduction stops at rank 2 with X not unique; the numeric root
+    # search, seeded at X's top eigenvector, finds the root
+    B = frame_matrix(0, 4, 3, "complex")
+    cert = cf.certify_minimizer(B, mg.DiagonalScaling.identity(4))
+    assert optimizer_calls
+    assert cert.kind == "common-root"
+    assert abs(mg.spectral_radius(mg.phase_apply(B, cert.phases)) - 1.0) <= 1e-8
 
 
 def circle_lambda_min(q1, q2, phis):
@@ -496,7 +595,7 @@ def test_pair_dichotomy_matches_circle_scan():
             lam = circle_lambda_min(q1, q2, coarse)
             fine = coarse[np.argmax(lam)] + np.linspace(-step, step, 4097)
             best = max(lam.max(), circle_lambda_min(q1, q2, fine).max())
-            cert = cf.form_pair_dichotomy(q1, q2)
+            cert = cf.form_certificate([q1, q2])
             if cert.kind == "definite-combination":
                 combo = cert.coeffs[0] * q1 + cert.coeffs[1] * q2
                 assert cert.min_eig > 0 and np.linalg.eigvalsh(combo)[0] >= cert.min_eig - 1e-12
@@ -509,6 +608,19 @@ def test_pair_dichotomy_matches_circle_scan():
             else:
                 assert (cert.kind == "definite-combination") == (best > 0)
     assert ambiguous <= 5
+
+
+def test_pairs_decide_without_search(optimizer_calls):
+    # two forms on C^2 leave the solve consistent; a solution outside the
+    # PSD ball gives its definite combination directly, so no pair searches
+    rng = np.random.default_rng(22)
+    kinds = {"common-root": 0, "definite-combination": 0}
+    for field in ("real", "complex"):
+        for _ in range(300):
+            cert = cf.form_certificate([rand_herm(rng, field) for _ in range(2)])
+            assert not optimizer_calls
+            kinds[cert.kind] += 1
+    assert min(kinds.values()) > 0
 
 
 def test_dimension_count_values():

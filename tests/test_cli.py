@@ -101,7 +101,7 @@ def test_certify_c4_undecided(capsys):
     doc = json.loads(out)
     jsonschema.validate(doc, load_schema("certificate.schema.json"))
     assert doc["kind"] == "undecided"
-    assert doc["diagnostics"]["best_root_residual"] > 0.01
+    assert doc["diagnostics"]["root_residual_floor"] > 0.01
 
 
 def test_certify_diagonal_common_root(tmp_path, capsys):

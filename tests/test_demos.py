@@ -1,4 +1,4 @@
-"""The demos that use the public roll-wave API run to completion."""
+"""The demos run to completion."""
 
 import os
 import subprocess
@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["rollwave_index.py", "general_layer.py"])
+@pytest.mark.parametrize("demo", ["rollwave_index.py", "general_layer.py", "certification.py",
+                                  "gap_counterexample.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,

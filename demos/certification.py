@@ -34,7 +34,10 @@ print()
 print("== three complex forms that defeat both certificates ==")
 pauli = mg.pauli_like_forms()
 print("  diag(1,-1), the real flip, and the imaginary flip:")
-print(f"  definite combination search -> {cf.definite_combination_search(pauli)}")
+stationary, X = mg.dual_stationarity(pauli, 1.0)
+print(f"  trace-one X >= 0 annihilated by every form -> {stationary}, "
+      f"eigenvalues of X {np.linalg.eigvalsh(X).round(4)}")
+print("    (so no real combination of the forms is definite)")
 floor = cf.form_certificate(pauli).diagnostics["root_residual_floor"]
 print(f"  proven root-residual floor on the unit sphere -> {floor:.4f} (= 1/sqrt(3))")
 
@@ -59,7 +62,10 @@ print()
 print("== five real forms on C^3 (the dense frontier for real matrices) ==")
 five = cf.forms_r3_five()
 print(f"  independent forms: {cf.independent_count(five)} (out of the 6-dim space)")
-print(f"  definite combination -> {cf.definite_combination_search(five)}")
+stationary5, X5 = mg.dual_stationarity(five, 1.0)
+print(f"  trace-one X >= 0 annihilated by every form -> {stationary5}, "
+      f"eigenvalues of X {np.linalg.eigvalsh(X5).round(4)}")
+print("    (so no real combination of the forms is definite)")
 floor5 = cf.form_certificate(five).diagnostics["root_residual_floor"]
 print(f"  proven joint-root residual floor -> {floor5:.4f} (= 1/sqrt(30))")
 

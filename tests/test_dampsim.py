@@ -161,6 +161,51 @@ def test_constant_advection_first_order():
     assert e1 < 0.5
 
 
+def _three_stage_step(sim, t, z):
+    """The SSP-RK3 stages of dz/dt = L z + f(t), one after another."""
+    L, f, dt = sim.L, sim.forcing, sim.dt
+    a = z + dt * (L @ z + f(t))
+    b = 0.75 * z + 0.25 * (a + dt * (L @ a + f(t + dt)))
+    return z / 3.0 + 2.0 / 3.0 * (b + dt * (L @ b + f(t + 0.5 * dt)))
+
+
+def test_assembled_step_is_ssp_rk3(setup_f3, monkeypatch):
+    # the assembled step is the three-stage scheme up to rounding: real,
+    # complex (Floquet) and forced with time-dependent F and G
+    p, cd, w = setup_f3
+    N = 64
+
+    def forcing_F(x, t):
+        return np.stack([0.2 * np.sin(2 * np.pi * x / p.X + t),
+                         np.full_like(x, 0.1 * np.cos(3.0 * t))])
+
+    cases = [({}, np.float64), ({"floquet_xi": 0.7}, np.complex128),
+             ({"forcing_F": forcing_F,
+               "forcing_G": lambda t: np.array([0.3 * np.cos(t), -0.2 * t])}, np.complex128)]
+    for extra, dtype in cases:
+        sim = ds.setup(ds.SimConfig(profile=p, cd=cd, weights=w, N=N, **extra))
+        assert sim.dtype == dtype
+        u0 = smooth_random(sim.centers, p.X, 11)
+        z = ref = np.concatenate([u0[0], u0[1], [0.2]]).astype(dtype)
+        t = 0.0
+        for _ in range(100):
+            z = sim.step(t, z)
+            ref = _three_stage_step(sim, t, ref)
+            t += sim.dt
+        assert np.linalg.norm(z - ref) < 1e-12 * np.linalg.norm(ref)
+
+    # deflation subtracts nearly equal states, so the decay fit sees the
+    # rounding of the two flop orders, well inside 1e-4
+    cfg = ds.SimConfig(profile=p, cd=cd, weights=w, N=N, t_end=60.0)
+    sim = ds.setup(cfg)
+    u0 = ds.random_initial_data(sim.centers, p.X, 3)
+    got = ds.measure_decay(ds.deflated_run(cfg, u0, sim=sim))
+    monkeypatch.setattr(ds.UpwindSimulator, "step", _three_stage_step)
+    ref = ds.measure_decay(ds.deflated_run(cfg, u0, sim=sim))
+    assert abs(got.theta_fit - ref.theta_fit) < 1e-4 * ref.theta_fit
+    assert abs(got.slaving_constant - ref.slaving_constant) < 1e-4 * ref.slaving_constant
+
+
 def test_zero_data_zero_trajectory(setup_f3):
     p, cd, w = setup_f3
     cfg = ds.SimConfig(profile=p, cd=cd, weights=w, N=64, t_end=1.0)

@@ -22,8 +22,11 @@ is strong-stability-preserving third-order Runge-Kutta under a CFL bound on
 the largest speed.  For a linear system one such step with h = dt is the
 map z' = M z + (h/6)(I + hL)^2 f(t) + (h/6)(I + hL) f(t + h)
 + (2h/3) f(t + h/2), M = I + hL + (hL)^2/2 + (hL)^3/6, so the simulator
-assembles M - I and the three forcing polynomials once and applies each step
-as one sparse matrix-vector product.
+assembles M - I and the three forcing polynomials once.  Without forcing it
+also assembles M^k - I for k = 2, 4, ..., ``STEP_BLOCK`` and advances the
+state from one recorded snapshot to the next with those powers: a whole
+block of steps is one sparse matrix-vector product.  A forced step samples
+the forcing, so forced runs apply the one-step map step by step.
 
 The monitored energy is
 
@@ -38,7 +41,8 @@ rather than damping them.  In the discrete operator the family is the
 cluster of eigenvalues of L nearest 0, separated from the rest of the
 spectrum by a jump in modulus, so decay-rate measurements first remove it
 with the spectral projector P of L onto that cluster.  P commutes with L and
-so with M, the polynomial of L that steps the state.
+so with M, the polynomial of L that steps the state: a deflated run starts
+from (I - P) z0 and projects its recorded states once more.
 """
 
 from __future__ import annotations
@@ -244,6 +248,8 @@ class DecayReport:
 # simulator
 # ---------------------------------------------------------------------------
 
+STEP_BLOCK = 8  # largest power M^k - I stored for unforced runs; a power of two
+
 
 class UpwindSimulator:
     """Discrete operator bundle for one cell; see the module docstring."""
@@ -335,6 +341,16 @@ class UpwindSimulator:
             inc = scipy.sparse.hstack(
                 [inc, G1 + hL @ G1, G1, (2.0 * dt / 3.0) * self.forcing_map])
         self.increment = inc.tocsr()
+        # M^k - I for k = 1, 2, 4, ..., STEP_BLOCK, each from the one before
+        # as (M^k)^2 - I = 2 (M^k - I) + (M^k - I)^2, so the identity stays
+        # out of every power too.  A forced step samples the forcing, so
+        # forced runs get no powers
+        self.step_powers = []
+        if not forced:
+            self.step_powers.append(self.increment)
+            while len(self.step_powers) < STEP_BLOCK.bit_length():
+                B = self.step_powers[-1]
+                self.step_powers.append((2.0 * B + B @ B).tocsr())
 
         # energy pieces at interior interfaces
         inner = faces[1:-1]
@@ -384,27 +400,51 @@ class UpwindSimulator:
         return z + self.increment @ np.concatenate(
             [z, fv(t), fv(t + self.dt), fv(t + 0.5 * self.dt)])
 
+    def advance(self, t, z, m):
+        """``m`` SSP-RK3 steps of the state z from time t.
+
+        Without forcing this is ``m // STEP_BLOCK`` products with
+        M^STEP_BLOCK - I and one with M^k - I for each binary digit k of the
+        remainder; with forcing it is ``m`` calls of :meth:`step`.
+        """
+        if not self.step_powers:
+            for _ in range(m):
+                z = self.step(t, z)
+                t += self.dt
+            return z
+        *digits, block = self.step_powers
+        for _ in range(m // STEP_BLOCK):
+            z = z + block @ z
+        for bit, B in enumerate(digits):
+            if m >> bit & 1:
+                z = z + B @ z
+        return z
+
     # -- norms and energy -----------------------------------------------------
 
+    def _l2sq(self, u1, u2):
+        return (np.abs(u1) ** 2 + np.abs(u2) ** 2) @ self.dx
+
     def norms(self, u1, u2, y):
-        l2sq = float(np.sum((np.abs(u1) ** 2 + np.abs(u2) ** 2) * self.dx).real)
-        d1 = np.diff(u1) / self.ddx
-        d2 = np.diff(u2) / self.ddx
-        dsq = float(np.sum((np.abs(d1) ** 2 + np.abs(d2) ** 2) * self.ddx).real)
-        u1m = 0.5 * (u1[1:] + u1[:-1])
-        u2m = 0.5 * (u2[1:] + u2[:-1])
-        cross = float(np.sum(
-            self.k_f * (np.conj(d1) * u2m - np.conj(d2) * u1m).real * self.ddx
-        ))
-        energy = (
-            0.5 * float(np.sum((self.om1_f * np.abs(d1) ** 2
-                                + self.om2_f * np.abs(d2) ** 2) * self.ddx))
-            + cross
-            + 0.5 * self.c0prime * l2sq
-        )
-        l2 = np.sqrt(l2sq)
-        h1 = np.sqrt(l2sq + dsq)
-        return l2, h1, energy
+        """L2 norm, broken H1 norm and energy of the states (u1, u2, y).
+
+        Cell values run along the last axis; leading axes index states, so
+        one call measures a whole trajectory.  Each sum over the cells is a
+        product with a vector of interface widths.
+        """
+        l2sq = self._l2sq(u1, u2)
+        d1 = np.diff(u1, axis=-1) / self.ddx
+        d2 = np.diff(u2, axis=-1) / self.ddx
+        cross = ((np.conj(d1) * (u2[..., 1:] + u2[..., :-1])
+                  - np.conj(d2) * (u1[..., 1:] + u1[..., :-1])).real
+                 @ (0.5 * self.k_f * self.ddx))
+        # squared moduli in place of the differences: fewer snapshot-sized
+        # arrays are alive at once
+        d1, d2 = np.abs(d1) ** 2, np.abs(d2) ** 2
+        dsq = (d1 + d2) @ self.ddx
+        energy = (0.5 * (d1 @ (self.om1_f * self.ddx) + d2 @ (self.om2_f * self.ddx))
+                  + cross + 0.5 * self.c0prime * l2sq)
+        return np.sqrt(l2sq), np.sqrt(l2sq + dsq), energy
 
 
 def setup(cfg: SimConfig) -> UpwindSimulator:
@@ -415,47 +455,49 @@ def setup(cfg: SimConfig) -> UpwindSimulator:
 def run(cfg: SimConfig, u0, y0=0.0, sim: UpwindSimulator | None = None) -> SimTrajectory:
     """Evolve initial data and record norms, energy and shift.
 
-    ``u0`` is a (2, N) array of mode values at cell centers.  Blow-up (any
-    norm above 1e12) stops the run and is flagged with the failure time.
+    ``u0`` is a (2, N) array of mode values at cell centers.  A snapshot is
+    recorded every ``n_steps // n_outputs`` steps and after the last one;
+    ``sim.advance`` carries the state from one snapshot to the next.
+    Blow-up (an L2 norm above 1e12 at a snapshot) stops the run and is
+    flagged with the failure time.
     """
     sim = sim or UpwindSimulator(cfg)
+    N = cfg.N
+    n_steps = int(np.ceil(cfg.t_end / sim.dt))
+    out_every = max(1, n_steps // cfg.n_outputs)
+    ends = np.append(np.arange(0, n_steps, out_every), n_steps)
+    # cumsum adds dt one step at a time, as a step-by-step loop would
+    times = np.cumsum(np.r_[0.0, np.full(n_steps, sim.dt)])[ends]
+    Z = np.empty((ends.size, 2 * N + 1), dtype=sim.dtype)
+    Z[0] = _initial_state(cfg, u0, y0)
+    blowup_time = None
+    for j in range(1, ends.size):
+        Z[j] = sim.advance(times[j - 1], Z[j - 1], ends[j] - ends[j - 1])
+        l2 = np.sqrt(sim._l2sq(Z[j, :N], Z[j, N:2 * N]))
+        if not np.isfinite(l2) or l2 > 1e12:
+            blowup_time = times[j]
+            break
+    return _snapshots(cfg, sim, times[:j + 1], Z[:j + 1], blowup_time)
+
+
+def _initial_state(cfg, u0, y0):
+    """The state z = (u1, u2, y) of (2, N) mode values and a shift."""
     u0 = np.asarray(u0)
     if u0.shape != (2, cfg.N):
         raise InvalidInputError(f"initial data must have shape (2, {cfg.N})")
-    z = np.concatenate([u0[0], u0[1], [y0]]).astype(sim.dtype)
-
-    n_steps = int(np.ceil(cfg.t_end / sim.dt))
-    out_every = max(1, n_steps // cfg.n_outputs)
-    t = 0.0
-    blowup_time = None
-    # each step returns a new array, so the snapshots may hold views of z
-    states = [_snapshot(sim, t, z)]
-    for k in range(n_steps):
-        z = sim.step(t, z)
-        t += sim.dt
-        if (k + 1) % out_every == 0 or k == n_steps - 1:
-            states.append(_snapshot(sim, t, z))
-            l2 = states[-1].L2_norm
-            if not np.isfinite(l2) or l2 > 1e12:
-                blowup_time = t
-                break
-    return _trajectory(cfg, sim, states, blowup_time)
+    return np.concatenate([u0[0], u0[1], [y0]])
 
 
-def _snapshot(sim: UpwindSimulator, t, z) -> SimState:
-    N = sim.cfg.N
-    u1, u2, y = z[:N], z[N:2 * N], z[2 * N]
-    l2, h1, en = sim.norms(u1, u2, y)
-    return SimState(t=t, u1=u1, u2=u2, y=y, L2_norm=l2, H1_norm=h1, energy=en)
-
-
-def _trajectory(cfg, sim, states, blowup_time=None) -> SimTrajectory:
+def _snapshots(cfg, sim: UpwindSimulator, times, Z, blowup_time=None) -> SimTrajectory:
+    """The trajectory of the states Z (one per row) at ``times``, measured
+    by one call of ``sim.norms``; each state's vectors are views of Z."""
+    N = cfg.N
+    u1, u2, y = Z[:, :N], Z[:, N:2 * N], Z[:, 2 * N]
+    L2, H1, energy = sim.norms(u1, u2, y)
+    states = [SimState(t=t, u1=a, u2=b, y=c, L2_norm=l, H1_norm=h, energy=e)
+              for t, a, b, c, l, h, e in zip(times, u1, u2, y, L2, H1, energy)]
     return SimTrajectory(
-        times=np.array([s.t for s in states]),
-        L2=np.array([s.L2_norm for s in states]),
-        H1=np.array([s.H1_norm for s in states]),
-        energy=np.array([s.energy for s in states]),
-        y=np.array([s.y for s in states]), states=states,
+        times=times, L2=L2, H1=H1, energy=energy, y=y, states=states,
         blew_up=blowup_time is not None, blowup_time=blowup_time, config=cfg,
         equivalence=sim.equivalence,
     )
@@ -523,29 +565,32 @@ def deflated_run(cfg: SimConfig, u0, y0=0.0, sim: UpwindSimulator | None = None)
     At the co-periodic phase the exact dynamics keeps a low-dimensional
     family (wave translation, the mass-conservation direction it pairs with,
     and sonic-resonance remnants) that the damping estimate slaves to low
-    norms instead of damping.  Every recorded state z is re-measured as
-    ``(I - P) z``, with P the spectral projector of L onto its slow cluster
-    (``slow_family``).  P commutes with L and so with the SSP-RK3 step: the
-    deflated history is itself a trajectory of the scheme, started from
-    ``(I - P) z0`` and, for forced runs, driven by ``(I - P) f``.  The
+    norms instead of damping.  With P the spectral projector of L onto its
+    slow cluster (``slow_family``), the run starts from ``(I - P) z0`` and
+    every recorded state z is measured as ``(I - P) z``.  P commutes with L
+    and so with the SSP-RK3 step, so this is a trajectory of the scheme
+    and, for forced runs, one driven by ``(I - P) f``; the second projection
+    removes the slow components that rounding feeds in along the way.  The
     returned trajectory reports the cluster size as ``deflation_rank`` and
-    its discrete ``spectral_gap``.
+    its discrete ``spectral_gap``; a run that blows up is returned as it
+    stands, flagged.
     """
     sim = sim or UpwindSimulator(cfg)
-    main = run(cfg, u0, y0, sim=sim)
-    if main.blew_up:
-        return main
-
     _, gap, V, Wh = slow_family(sim)
-    # recorded states z = (u1, u2, y), one per row
-    Z = np.array([np.concatenate([s.u1, s.u2, [s.y]]) for s in main.states])
-    PZ = (Z @ Wh.T) @ V.T
-    # the slow cluster of a real L is closed under conjugation, so P is real
-    # in exact arithmetic: its imaginary part is rounding, and real dynamics
-    # stays in float64
-    Z = Z - (PZ.real if sim.dtype == np.float64 else PZ)
 
-    traj = _trajectory(cfg, sim, [_snapshot(sim, s.t, z) for s, z in zip(main.states, Z)])
+    def deflate(Z):
+        # states z = (u1, u2, y), one per row.  The slow cluster of a real L
+        # is closed under conjugation, so P is real in exact arithmetic: its
+        # imaginary part is rounding, and real dynamics stays in float64
+        PZ = (Z @ Wh.T) @ V.T
+        return Z - (PZ.real if sim.dtype == np.float64 else PZ)
+
+    N = cfg.N
+    z0 = deflate(_initial_state(cfg, u0, y0))
+    traj = run(cfg, np.stack([z0[:N], z0[N:2 * N]]), z0[2 * N], sim=sim)
+    if not traj.blew_up:
+        Z = np.array([np.concatenate([s.u1, s.u2, [s.y]]) for s in traj.states])
+        traj = _snapshots(cfg, sim, traj.times, deflate(Z))
     traj.deflation_rank = V.shape[1]
     traj.spectral_gap = gap
     return traj

@@ -169,20 +169,33 @@ def _three_stage_step(sim, t, z):
     return z / 3.0 + 2.0 / 3.0 * (b + dt * (L @ b + f(t + 0.5 * dt)))
 
 
+def _one_step_at_a_time(step):
+    """An ``advance`` that applies ``step`` once per time step."""
+    def advance(sim, t, z, m):
+        for _ in range(m):
+            z = step(sim, t, z)
+            t += sim.dt
+        return z
+    return advance
+
+
+def _configs(p):
+    """Real, Floquet-complex and forced configurations of one wave."""
+    def forcing_F(x, t):
+        return np.stack([0.2 * np.sin(2 * np.pi * x / p.X + t),
+                         np.full_like(x, 0.1 * np.cos(3.0 * t))])
+
+    return [{}, {"floquet_xi": 0.7},
+            {"forcing_F": forcing_F,
+             "forcing_G": lambda t: np.array([0.3 * np.cos(t), -0.2 * t])}]
+
+
 def test_assembled_step_is_ssp_rk3(setup_f3, monkeypatch):
     # the assembled step is the three-stage scheme up to rounding: real,
     # complex (Floquet) and forced with time-dependent F and G
     p, cd, w = setup_f3
     N = 64
-
-    def forcing_F(x, t):
-        return np.stack([0.2 * np.sin(2 * np.pi * x / p.X + t),
-                         np.full_like(x, 0.1 * np.cos(3.0 * t))])
-
-    cases = [({}, np.float64), ({"floquet_xi": 0.7}, np.complex128),
-             ({"forcing_F": forcing_F,
-               "forcing_G": lambda t: np.array([0.3 * np.cos(t), -0.2 * t])}, np.complex128)]
-    for extra, dtype in cases:
+    for extra, dtype in zip(_configs(p), (np.float64, np.complex128, np.complex128)):
         sim = ds.setup(ds.SimConfig(profile=p, cd=cd, weights=w, N=N, **extra))
         assert sim.dtype == dtype
         u0 = smooth_random(sim.centers, p.X, 11)
@@ -194,16 +207,83 @@ def test_assembled_step_is_ssp_rk3(setup_f3, monkeypatch):
             t += sim.dt
         assert np.linalg.norm(z - ref) < 1e-12 * np.linalg.norm(ref)
 
-    # deflation subtracts nearly equal states, so the decay fit sees the
-    # rounding of the two flop orders, well inside 1e-4
+    # the deflated run starts from (I - P) z0, so the decay fit of the block
+    # steps matches the three stages applied one step at a time
     cfg = ds.SimConfig(profile=p, cd=cd, weights=w, N=N, t_end=60.0)
     sim = ds.setup(cfg)
     u0 = ds.random_initial_data(sim.centers, p.X, 3)
     got = ds.measure_decay(ds.deflated_run(cfg, u0, sim=sim))
-    monkeypatch.setattr(ds.UpwindSimulator, "step", _three_stage_step)
+    monkeypatch.setattr(ds.UpwindSimulator, "advance", _one_step_at_a_time(_three_stage_step))
     ref = ds.measure_decay(ds.deflated_run(cfg, u0, sim=sim))
-    assert abs(got.theta_fit - ref.theta_fit) < 1e-4 * ref.theta_fit
-    assert abs(got.slaving_constant - ref.slaving_constant) < 1e-4 * ref.slaving_constant
+    assert abs(got.theta_fit - ref.theta_fit) < 1e-9 * ref.theta_fit
+    assert abs(got.slaving_constant - ref.slaving_constant) < 1e-9 * ref.slaving_constant
+
+
+def test_advance_is_repeated_step(setup_f3):
+    # block steps with the stored powers of M equal one step at a time
+    p, cd, w = setup_f3
+    for extra in _configs(p):
+        sim = ds.setup(ds.SimConfig(profile=p, cd=cd, weights=w, N=64, **extra))
+        assert len(sim.step_powers) == (0 if "forcing_F" in extra else 4)
+        u0 = smooth_random(sim.centers, p.X, 13)
+        z0 = np.concatenate([u0[0], u0[1], [0.2]]).astype(sim.dtype)
+        t0 = 0.5
+        for m in (1, 2, 3, 7, 8, 9, 63, 127):
+            ref = _one_step_at_a_time(ds.UpwindSimulator.step)(sim, t0, z0, m)
+            got = sim.advance(t0, z0, m)
+            assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref)
+
+
+def test_run_times_accumulate_dt_step_by_step(setup_f3):
+    # snapshot times are the sums t += dt of a step-by-step loop, bit for bit
+    p, cd, w = setup_f3
+    for N, t_end, n_outputs in ((64, 7.3, 40), (64, 1.0, 1000), (128, 3.0, 7)):
+        cfg = ds.SimConfig(profile=p, cd=cd, weights=w, N=N, t_end=t_end,
+                           n_outputs=n_outputs)
+        sim = ds.setup(cfg)
+        traj = ds.run(cfg, smooth_random(sim.centers, p.X, 2), sim=sim)
+        n_steps = int(np.ceil(t_end / sim.dt))
+        out_every = max(1, n_steps // n_outputs)
+        t, ref = 0.0, [0.0]
+        for k in range(n_steps):
+            t += sim.dt
+            if (k + 1) % out_every == 0 or k == n_steps - 1:
+                ref.append(t)
+        assert traj.times.tolist() == ref
+
+
+def test_blowup_time_matches_step_by_step(setup_f3, monkeypatch):
+    # an inflated index blows the run up at the same snapshot either way
+    p, cd, w = setup_f3
+    factor = 3.0 / rw.stability_index(p, cd).index
+    cfg = ds.SimConfig(profile=p, cd=cd, weights=w, N=64, t_end=40.0,
+                       a0_factor=factor, n_outputs=100)
+    sim = ds.setup(cfg)
+    u0 = smooth_random(sim.centers, p.X, 7)
+    got = ds.run(cfg, u0, sim=sim)
+    # the growing modes lie outside the slow family, so the deflated run
+    # blows up too and comes back flagged
+    assert ds.deflated_run(cfg, u0, sim=sim).blew_up
+    monkeypatch.setattr(ds.UpwindSimulator, "advance",
+                        _one_step_at_a_time(ds.UpwindSimulator.step))
+    ref = ds.run(cfg, u0, sim=sim)
+    assert got.blew_up and ref.blew_up
+    assert got.blowup_time == ref.blowup_time < cfg.t_end
+    assert got.times.tolist() == ref.times.tolist()
+    assert np.max(np.abs(got.L2 - ref.L2) / ref.L2) < 1e-12
+
+
+def test_norms_measure_every_snapshot_in_one_call(setup_f3):
+    # states along the leading axis give each state's own norms
+    p, cd, w = setup_f3
+    sim = ds.setup(ds.SimConfig(profile=p, cd=cd, weights=w, N=64, floquet_xi=0.7))
+    rng = np.random.default_rng(4)
+    U1, U2 = rng.standard_normal((2, 5, 64)) + 1j * rng.standard_normal((2, 5, 64))
+    y = rng.standard_normal(5)
+    batch = np.array(sim.norms(U1, U2, y))
+    single = np.array([sim.norms(a, b, c) for a, b, c in zip(U1, U2, y)]).T
+    assert batch.shape == (3, 5)
+    assert np.allclose(batch, single, rtol=1e-14, atol=0.0)
 
 
 def test_zero_data_zero_trajectory(setup_f3):

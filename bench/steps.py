@@ -1,20 +1,28 @@
 """Layer timings of the damping simulator in two checkouts, as JSON.
 
-    python3 bench/steps.py --parent ../parent --change . --out BENCH_13.json
+    python3 bench/steps.py --parent ../parent --change . --out BENCH_14.json
 
 ``--parent`` and ``--change`` are the roots of two checkouts.  For each one
 the script starts a Python process with that checkout's ``src`` on the path
 and one BLAS thread, and times at F = 3 and N = 64, 128, 256, 512, 1024
 (t_end = 60, 400 outputs, as in acceptance criterion 8):
 
-* ``step_us``: one time step, over the steps between two snapshots.  A
-  checkout whose simulator has ``advance`` advances the whole interval in
-  one call; otherwise ``step`` runs once per step.
+* ``block_ms``: forming the block map of a simulator that forms it on its
+  first ``advance`` (one ``advance`` over ``block_steps`` steps from an
+  unformed block; its one product is microseconds of the milliseconds).
+  ``None`` for a checkout that forms its step powers in set-up, where they
+  are part of ``setup_ms``.
+* ``step_us``: one time step, over the steps between two snapshots, with
+  the block map formed.  A checkout whose simulator has ``advance``
+  advances the whole interval in one call; otherwise ``step`` runs once per
+  step.
 * ``norms_us``: ``norms`` per snapshot, over the 401 snapshots of a run.  A
   checkout with ``advance`` measures them in one call, otherwise one call per
   snapshot.
 * ``setup_ms``, ``slow_family_ms``, ``measure_decay_ms`` and
-  ``deflated_run_s``: one call each.
+  ``deflated_run_s``: one call each.  The deflated run reuses the
+  simulator, so set-up, ``block_ms`` and ``deflated_run_s`` together are
+  one run's cost in either checkout.
 
 Every figure is the best of ``--repeat`` timings in each of ``--rounds``
 processes per checkout; the checkouts alternate which runs first from round
@@ -63,6 +71,12 @@ for N in grids:
     m = max(1, int(np.ceil(cfg.t_end / sim.dt)) // cfg.n_outputs)
     blocked = hasattr(sim, "advance")
 
+    def form_block():
+        sim.block = None
+        return sim.advance(0.0, z, sim.block_steps)
+
+    block_s = best(form_block)[0] if hasattr(sim, "block_steps") else None
+
     def interval():
         if blocked:
             return sim.advance(0.0, z, m)
@@ -83,6 +97,7 @@ for N in grids:
     fit_s, rep = best(lambda: ds.measure_decay(traj), inner=20)
     result[str(N)] = {
         "steps_per_snapshot": m, "step_us": 1e6 * step_s / m,
+        "block_ms": None if block_s is None else 1e3 * block_s,
         "norms_us": 1e6 * norms_s / len(Z), "setup_ms": 1e3 * setup_s,
         "slow_family_ms": 1e3 * slow_s, "measure_decay_ms": 1e3 * fit_s,
         "deflated_run_s": traj_s, "theta_fit": rep.theta_fit,
@@ -116,7 +131,10 @@ def main(argv=None):
         for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
             runs[side].append(measure(roots[side], grids, args.repeat))
     # theta_fit is the same in every round; the timings keep their best
-    sides = {side: {N: {key: min(run[N][key] for run in runs[side]) for key in runs[side][0][N]}
+    def fastest(values):
+        return None if None in values else min(values)
+
+    sides = {side: {N: {key: fastest([run[N][key] for run in runs[side]]) for key in runs[side][0][N]}
                     for N in runs[side][0]}
              for side in runs}
     out = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -23,10 +23,16 @@ the largest speed.  For a linear system one such step with h = dt is the
 map z' = M z + (h/6)(I + hL)^2 f(t) + (h/6)(I + hL) f(t + h)
 + (2h/3) f(t + h/2), M = I + hL + (hL)^2/2 + (hL)^3/6, so the simulator
 assembles M - I and the three forcing polynomials once.  Without forcing it
-also assembles M^k - I for k = 2, 4, ..., ``STEP_BLOCK`` and advances the
-state from one recorded snapshot to the next with those powers: a whole
-block of steps is one sparse matrix-vector product.  A forced step samples
-the forcing, so forced runs apply the one-step map step by step.
+advances the state with one block map B = M^k - I, formed by binary powering
+on the first advance that applies it (never for a simulator that only
+provides a grid): k steps are one matrix-vector product with B, and the
+remainder of an interval that k does not divide is taken one step at a
+time.  On states of at most ``DENSE_BLOCK_MAX`` = 513 entries (N <= 256) B is
+dense and k is the run's snapshot interval, so a run costs one BLAS matvec
+per snapshot; M^k - I is full there anyway.  On larger states forming a
+dense power costs as much as the stepping it saves or more, so B is the
+sparse M^8 - I (``STEP_BLOCK``).  A forced step samples the forcing, so
+forced runs apply the one-step map step by step.
 
 The monitored energy is
 
@@ -94,29 +100,23 @@ def kawashima_K(cd: CharacteristicData, weights: DampingWeights | None = None,
     the weighted coupling.  Returns an (npts, 2, 2) array of skew matrices.
     """
     xs = cd.grid if x is None else np.asarray(x, dtype=float)
-    if weights is None:
-        w1 = w2 = 1.0
-    else:
-        w1 = np.atleast_1d(weights.omega1_at(xs))
-        w2 = np.atleast_1d(weights.omega2_at(xs))
-    k = _compensator_k(cd, xs, w1, w2, amplitude, speed_tol)
+    h = np.atleast_1d(cd.fields.h(xs))
+    w1, w2 = (1.0, 1.0) if weights is None else weights.weights_at(xs, h)
+    k = _compensator_k(cd.fields, h, w1, w2, amplitude, speed_tol)
     K = np.zeros(k.shape + (2, 2))
     K[..., 0, 1] = k
     K[..., 1, 0] = -k
     return K
 
 
-def _compensator_k(cd, xs, w1, w2, amplitude, speed_tol=1e-10):
-    """The entry k of :func:`kawashima_K` at ``xs`` from the weights there."""
-    f = cd.fields
-    a1 = np.atleast_1d(f.alpha1(xs))
-    a2 = np.atleast_1d(f.alpha2(xs))
-    gaps = a2 - a1
+def _compensator_k(f, h, w1, w2, amplitude, speed_tol=1e-10):
+    """The entry k of :func:`kawashima_K` at the profile heights h (a 1-d
+    array) from the weights there; ``f`` holds the characteristic fields."""
+    gaps = f.alpha2_h(h) - f.alpha1_h(h)
     if np.any(np.abs(gaps) < speed_tol):
         raise HyperbolicityError("characteristic speeds too close for a compensator")
-    b1 = np.atleast_1d(f.beta1(xs))
-    b2 = np.atleast_1d(f.beta2(xs))
-    return amplitude * (b1 * w1 + b2 * w2) / (2.0 * gaps)
+    M = f.coupling_matrix_h(h)
+    return amplitude * (M[..., 0, 1] * w1 + M[..., 1, 0] * w2) / (2.0 * gaps)
 
 
 def upwind_stencil(speeds_f, dx):
@@ -248,7 +248,34 @@ class DecayReport:
 # simulator
 # ---------------------------------------------------------------------------
 
-STEP_BLOCK = 8  # largest power M^k - I stored for unforced runs; a power of two
+STEP_BLOCK = 8  # steps in the sparse block map M^k - I of large unforced states
+# Largest state 2N+1 (N = 256) whose block map is the dense M^k - I over a
+# whole snapshot interval.  Above it forming the dense power costs about as
+# much as the stepping it replaces or more: at t_end = 60, N = 512 takes
+# 0.56 s to form and 0.16 s of products against 0.62 s of sparse stepping,
+# N = 1024 7.2 s to form against 2.7 s (one BLAS thread)
+DENSE_BLOCK_MAX = 513
+
+
+def _power_minus_identity(P, k):
+    """M^k - I from P = M - I by binary powering with the identity kept out:
+    a squaring is (M^j)^2 - I = 2P + P^2 and a product of two powers is
+    M^i M^j - I = S + P + S P.  P is a sparse or a dense array."""
+    S = None
+    while True:
+        if k & 1:
+            S = P if S is None else S + P + S @ P
+        k >>= 1
+        if not k:
+            return S
+        P = 2.0 * P + P @ P
+
+
+def _snapshot_interval(cfg, dt):
+    """``(n_steps, out_every)``: the steps of a run to ``cfg.t_end`` and the
+    steps between two of its snapshots."""
+    n_steps = int(np.ceil(cfg.t_end / dt))
+    return n_steps, max(1, n_steps // cfg.n_outputs)
 
 
 class UpwindSimulator:
@@ -271,13 +298,17 @@ class UpwindSimulator:
         self.dx = np.diff(faces)
         self.i_sonic = n_left
 
-        self.a1_f = np.asarray(f.alpha1(faces), dtype=float)
-        self.a2_f = np.asarray(f.alpha2(faces), dtype=float)
+        # the profile is evaluated once on each point set; every field
+        # below is a closed form in the heights
+        h_f = np.asarray(p.h_of_x(faces))
+        h = np.asarray(p.h_of_x(self.centers))
+        self.a1_f = f.alpha1_h(h_f)
+        self.a2_f = f.alpha2_h(h_f)
         self.a2_f[self.i_sonic] = 0.0  # exact sonic interface
-        xc = self.centers
-        Mc = f.coupling_matrix(xc)
-        c1 = f.alpha1_prime(xc) - Mc[:, 0, 0]
-        c2 = f.alpha2_prime(xc) - Mc[:, 1, 1]
+        Mc = f.coupling_matrix_h(h)
+        slope = f._slope(h)
+        c1 = f.dalpha1_dh(h) * slope - Mc[:, 0, 0]
+        c2 = f.dalpha2_dh(h) * slope - Mc[:, 1, 1]
         b1, b2 = Mc[:, 0, 1], Mc[:, 1, 0]
 
         jc = cfg.cd.stability  # the wave's one boundary solve
@@ -294,7 +325,6 @@ class UpwindSimulator:
         # through the rows of T^{-1} A0^{-1}, with
         # T^{-1} = [[-1/(2phi), 1/2], [1/(2phi), 1/2]] and
         # A0^{-1} = [[1, 0], [-U/h, 1/h]]
-        h = np.asarray(p.h_of_x(xc))
         U = p.c - p.q / h
         phi = p.model.froude * np.sqrt(h)
         n = 2 * N + 1
@@ -341,24 +371,21 @@ class UpwindSimulator:
             inc = scipy.sparse.hstack(
                 [inc, G1 + hL @ G1, G1, (2.0 * dt / 3.0) * self.forcing_map])
         self.increment = inc.tocsr()
-        # M^k - I for k = 1, 2, 4, ..., STEP_BLOCK, each from the one before
-        # as (M^k)^2 - I = 2 (M^k - I) + (M^k - I)^2, so the identity stays
-        # out of every power too.  A forced step samples the forcing, so
-        # forced runs get no powers
-        self.step_powers = []
-        if not forced:
-            self.step_powers.append(self.increment)
-            while len(self.step_powers) < STEP_BLOCK.bit_length():
-                B = self.step_powers[-1]
-                self.step_powers.append((2.0 * B + B @ B).tocsr())
+        # the block map B = M^k - I of unforced runs (see advance): dense
+        # over one snapshot interval on small states, else the sparse
+        # M^STEP_BLOCK - I.  An interval of at most STEP_BLOCK steps keeps
+        # the sparse map too: at N = 256 one dense product costs as much as
+        # about 7 single steps (52 against 7.5 us)
+        interval = _snapshot_interval(cfg, dt)[1]
+        self._dense_block = n <= DENSE_BLOCK_MAX and interval > STEP_BLOCK
+        self.block_steps = interval if self._dense_block else STEP_BLOCK
+        self.block = None  # formed by the first advance that needs it
 
         # energy pieces at interior interfaces
         inner = faces[1:-1]
         self.ddx = np.diff(self.centers)
-        w = cfg.weights
-        self.om1_f = np.asarray(w.omega1_at(inner), dtype=float)
-        self.om2_f = np.asarray(w.omega2_at(inner), dtype=float)
-        self.k_f = _compensator_k(cfg.cd, inner, self.om1_f, self.om2_f,
+        self.om1_f, self.om2_f = cfg.weights.weights_at(inner, h_f[1:-1])
+        self.k_f = _compensator_k(f, h_f[1:-1], self.om1_f, self.om2_f,
                                   cfg.compensator_amplitude)
         om_min = float(min(self.om1_f.min(), self.om2_f.min()))
         k_max = float(np.max(np.abs(self.k_f)))
@@ -403,21 +430,28 @@ class UpwindSimulator:
     def advance(self, t, z, m):
         """``m`` SSP-RK3 steps of the state z from time t.
 
-        Without forcing this is ``m // STEP_BLOCK`` products with
-        M^STEP_BLOCK - I and one with M^k - I for each binary digit k of the
-        remainder; with forcing it is ``m`` calls of :meth:`step`.
+        Without forcing this is ``m // block_steps`` products with the block
+        map ``block`` = M^k - I, k = ``block_steps``, and the remaining
+        ``m % block_steps`` steps one :meth:`step` at a time.  On states of
+        at most ``DENSE_BLOCK_MAX`` entries the block is dense and spans one
+        snapshot interval of ``run``, so a run makes one BLAS matvec per
+        snapshot; on larger states it is the sparse M^STEP_BLOCK - I.  The
+        block is formed by the first call that applies it.  A forced step
+        samples the forcing, so with forcing all ``m`` steps are
+        :meth:`step` calls.
         """
-        if not self.step_powers:
-            for _ in range(m):
-                z = self.step(t, z)
-                t += self.dt
-            return z
-        *digits, block = self.step_powers
-        for _ in range(m // STEP_BLOCK):
-            z = z + block @ z
-        for bit, B in enumerate(digits):
-            if m >> bit & 1:
-                z = z + B @ z
+        blocks, rest = ((0, m) if self.forcing_map is not None
+                        else divmod(m, self.block_steps))
+        if blocks:
+            if self.block is None:
+                B = self.increment.toarray() if self._dense_block else self.increment
+                self.block = _power_minus_identity(B, self.block_steps)
+            for _ in range(blocks):
+                z = z + self.block @ z
+        # t stays behind after the blocks: only forced steps read it
+        for _ in range(rest):
+            z = self.step(t, z)
+            t += self.dt
         return z
 
     # -- norms and energy -----------------------------------------------------
@@ -463,8 +497,7 @@ def run(cfg: SimConfig, u0, y0=0.0, sim: UpwindSimulator | None = None) -> SimTr
     """
     sim = sim or UpwindSimulator(cfg)
     N = cfg.N
-    n_steps = int(np.ceil(cfg.t_end / sim.dt))
-    out_every = max(1, n_steps // cfg.n_outputs)
+    n_steps, out_every = _snapshot_interval(cfg, sim.dt)
     ends = np.append(np.arange(0, n_steps, out_every), n_steps)
     # cumsum adds dt one step at a time, as a step-by-step loop would
     times = np.cumsum(np.r_[0.0, np.full(n_steps, sim.dt)])[ends]
@@ -539,7 +572,9 @@ def slow_family(sim: UpwindSimulator):
     first eigenvalue outside it, and the factors of the projector
     ``P = V @ Wh`` with ``Wh = (W^H V)^{-1} W^H``.  A jump below
     ``SLOW_GAP_RATIO`` raises ``NumericalError``: no gap then separates a
-    slow family.
+    slow family.  So does a first eigenvalue outside the cluster with a
+    nonnegative real part: the rest of the spectrum then does not decay, and
+    ``spectral_gap`` would name a growth rate.
     """
     L = sim.L
     v0 = np.ones(L.shape[0], dtype=sim.dtype)  # a fixed start keeps runs repeatable
@@ -553,10 +588,14 @@ def slow_family(sim: UpwindSimulator):
         raise NumericalError(
             f"no gap separates a slow family: the largest modulus jump among the "
             f"{SLOW_EIGS} eigenvalues of L nearest 0 is {jumps[rank - 1]:.3g}")
+    gap = float(-lam[order[rank]].real)
+    if gap <= 0:
+        raise NumericalError(
+            f"no decay gap separates the slow family: the first eigenvalue of L "
+            f"outside it has real part {-gap:.3g}")
     V = V[:, order[:rank]]
     Wt = W[:, np.argsort(np.abs(mu))[:rank]].conj().T
-    return (lam[order[:rank]], float(-lam[order[rank]].real), V,
-            np.linalg.solve(Wt @ V, Wt))
+    return lam[order[:rank]], gap, V, np.linalg.solve(Wt @ V, Wt)
 
 
 def deflated_run(cfg: SimConfig, u0, y0=0.0, sim: UpwindSimulator | None = None):

@@ -762,7 +762,8 @@ class DampingWeights:
     boundary dissipation margin of the transverse mode; its zero-epsilon
     limit equals ``1 - index^2``, so positivity at small epsilon is the
     energy-side face of high-frequency spectral stability.
-    ``omega1_at`` and ``omega2_at`` evaluate the weights off the grid.
+    ``weights_at`` evaluates both weights off the grid from one quadrature;
+    ``omega1_at`` and ``omega2_at`` take one of them.
     """
 
     epsilon: float
@@ -777,12 +778,21 @@ class DampingWeights:
     advisory: str | None
     _cd: CharacteristicData
 
+    def weights_at(self, xs, h=None):
+        """``(omega1, omega2)`` at the points xs from one
+        ``cd.integrals_at`` call; ``h``, the profile heights at xs if the
+        caller has them, saves evaluating the profile there again."""
+        f = self._cd.fields
+        G, T, S2 = self._cd.integrals_at(xs)
+        a1 = f.alpha1(xs) if h is None else f.alpha1_h(h)
+        return (np.abs(a1) * np.exp(2.0 * G + 2.0 * self.epsilon * T),
+                self.C0 * np.exp(S2))
+
     def omega1_at(self, xs):
-        G, T, _ = self._cd.integrals_at(xs)
-        return np.abs(self._cd.fields.alpha1(xs)) * np.exp(2.0 * G + 2.0 * self.epsilon * T)
+        return self.weights_at(xs)[0]
 
     def omega2_at(self, xs):
-        return self.C0 * np.exp(self._cd.integrals_at(xs)[2])
+        return self.weights_at(xs)[1]
 
 
 def damping_weights(p: RollWaveProfile, cd: CharacteristicData,

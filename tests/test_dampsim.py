@@ -56,6 +56,22 @@ class _StubFields:
     def beta2(self, x):
         return self._b2
 
+    # the same fields through the heights, which the compensator reads
+    def h(self, x):
+        return x
+
+    def alpha1_h(self, h):
+        return self._a1
+
+    def alpha2_h(self, h):
+        return self._a2
+
+    def coupling_matrix_h(self, h):
+        M = np.zeros(self._b1.shape + (2, 2))
+        M[:, 0, 1] = self._b1
+        M[:, 1, 0] = self._b2
+        return M
+
 
 class _StubCD:
     def __init__(self, rng, n):
@@ -103,16 +119,22 @@ def test_kawashima_on_profile(setup_f3):
 
 
 def test_simulator_weights_evaluated_once(setup_f3, monkeypatch):
-    # set-up evaluates each weight once at the inner faces (two quadratures),
-    # and its compensator entry is kawashima_K's there, bit for bit
+    # set-up evaluates both weights at the inner faces with one quadrature
+    # and the profile once at the faces, once at the centres and once at
+    # that quadrature's nodes; its compensator entry is kawashima_K's at the
+    # inner faces, bit for bit
     p, cd, w = setup_f3
     cfg = ds.SimConfig(profile=p, cd=cd, weights=w, N=64, compensator_amplitude=0.7)
     integrals_at = type(cd).integrals_at
-    calls = []
+    h_of_x = type(p).h_of_x
+    calls, heights = [], []
     monkeypatch.setattr(type(cd), "integrals_at",
                         lambda self, xs: calls.append(1) or integrals_at(self, xs))
+    monkeypatch.setattr(type(p), "h_of_x",
+                        lambda self, x: heights.append(np.size(x)) or h_of_x(self, x))
     sim = ds.setup(cfg)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    assert len(heights) == 3 and heights[:2] == [65, 64]
     K = ds.kawashima_K(cd, w, 0.7, sim.faces[1:-1])
     assert np.array_equal(sim.k_f, K[..., 0, 1])
 
@@ -220,18 +242,50 @@ def test_assembled_step_is_ssp_rk3(setup_f3, monkeypatch):
 
 
 def test_advance_is_repeated_step(setup_f3):
-    # block steps with the stored powers of M equal one step at a time
+    # block steps with the block map equal one step at a time, for whole
+    # blocks, remainders and both: the dense block over a snapshot interval
+    # at N = 256 (2N+1 = DENSE_BLOCK_MAX), the sparse M^STEP_BLOCK - I at
+    # N = 257, each real and Floquet, and the forced configuration (no block)
     p, cd, w = setup_f3
-    for extra in _configs(p):
-        sim = ds.setup(ds.SimConfig(profile=p, cd=cd, weights=w, N=64, **extra))
-        assert len(sim.step_powers) == (0 if "forcing_F" in extra else 4)
+    cases = [(N, extra, kind) for N, kind in ((256, np.ndarray), (257, scipy.sparse.sparray))
+             for extra in ({}, {"floquet_xi": 0.7})]
+    for N, extra, kind in cases + [(64, _configs(p)[2], None)]:
+        sim = ds.setup(ds.SimConfig(profile=p, cd=cd, weights=w, N=N, **extra))
+        k = sim.block_steps
+        if kind is np.ndarray:  # one snapshot interval of run
+            n_steps = int(np.ceil(sim.cfg.t_end / sim.dt))
+            assert k == n_steps // sim.cfg.n_outputs > ds.STEP_BLOCK
+        else:
+            assert k == ds.STEP_BLOCK
         u0 = smooth_random(sim.centers, p.X, 13)
         z0 = np.concatenate([u0[0], u0[1], [0.2]]).astype(sim.dtype)
         t0 = 0.5
-        for m in (1, 2, 3, 7, 8, 9, 63, 127):
+        for m in (1, k - 1, k, k + 1, 2 * k + 3):
             ref = _one_step_at_a_time(ds.UpwindSimulator.step)(sim, t0, z0, m)
             got = sim.advance(t0, z0, m)
             assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref)
+        if kind is None:
+            assert sim.block is None
+        else:
+            assert isinstance(sim.block, kind) and sim.block.dtype == sim.dtype
+
+
+def test_block_is_formed_on_first_advance(setup_f3):
+    # set-up forms no block; an advance shorter than a block forms none
+    # either, and the first one that spans a block forms it once
+    p, cd, w = setup_f3
+    for N in (64, 256, 257):
+        cfg = ds.SimConfig(profile=p, cd=cd, weights=w, N=N, t_end=60.0)
+        sim = ds.setup(cfg)
+        assert sim.block is None
+        z = np.ones(2 * N + 1)
+        sim.advance(0.0, z, sim.block_steps - 1)
+        assert sim.block is None
+        sim.advance(0.0, z, sim.block_steps)
+        block = sim.block
+        assert block.shape == (2 * N + 1, 2 * N + 1)
+        ds.run(cfg, np.ones((2, N)), sim=sim)
+        assert sim.block is block
 
 
 def test_run_times_accumulate_dt_step_by_step(setup_f3):
@@ -261,9 +315,10 @@ def test_blowup_time_matches_step_by_step(setup_f3, monkeypatch):
     sim = ds.setup(cfg)
     u0 = smooth_random(sim.centers, p.X, 7)
     got = ds.run(cfg, u0, sim=sim)
-    # the growing modes lie outside the slow family, so the deflated run
-    # blows up too and comes back flagged
-    assert ds.deflated_run(cfg, u0, sim=sim).blew_up
+    # the growing modes lie outside the slow family, so no decay gap
+    # separates it and there is nothing to deflate
+    with pytest.raises(NumericalError, match="no decay gap"):
+        ds.deflated_run(cfg, u0, sim=sim)
     monkeypatch.setattr(ds.UpwindSimulator, "advance",
                         _one_step_at_a_time(ds.UpwindSimulator.step))
     ref = ds.run(cfg, u0, sim=sim)
@@ -492,6 +547,18 @@ def test_no_gap_no_slow_family(setup_f3, monkeypatch):
     monkeypatch.setattr(ds, "SLOW_GAP_RATIO", 1e3)
     with pytest.raises(NumericalError):
         ds.slow_family(sim)
+
+
+def test_growing_spectrum_has_no_slow_family(setup_f3):
+    # with the index inflated to 3 the first eigenvalue of L outside the
+    # slow cluster grows: its -Re would be a negative spectral gap
+    p, cd, w = setup_f3
+    factor = 3.0 / rw.stability_index(p, cd).index
+    sim = ds.setup(ds.SimConfig(profile=p, cd=cd, weights=w, N=64, a0_factor=factor))
+    with pytest.raises(NumericalError, match="no decay gap separates the slow family"):
+        ds.slow_family(sim)
+    # the same check passes on the physical index
+    assert ds.slow_family(ds.setup(ds.SimConfig(profile=p, cd=cd, weights=w, N=64)))[1] > 0
 
 
 def test_synthetic_instability_grows(setup_f3):

@@ -13,17 +13,15 @@ certificates can emerge:
   reconstructs a diagonal phase multiplier U with ``rho(U B_S) = ||B_S||``
   and therefore certifies that the gap closes at this scaling.
 
-Both are read off one least-squares solve, that of
-:func:`rollgap.matgap.dual_stationarity`, for the trace-one X >= 0
-annihilated by every form.  Its residual, or its solution when that is not
-PSD, gives a definite combination.  A PSD solution is reduced face by face
-(the rank bound of Barvinok and Pataki): stepping X along the null
-directions of the forms compressed to its range lowers its rank, and rank
-one, or two for real forms, is a common root.  When the system pins X at one
-point of higher rank, no root exists, and the same solve gives a proven
-floor on every unit vector's root residual.  The numeric searches run only
-where the solve cannot decide: a reduction that stalls with X not unique, or
-a non-PSD solution whose combination is not definite.
+Both are read off one dual solve, :func:`rollgap.matgap.dual_stationarity`,
+which decides the alternative exactly: either some trace-one X >= 0 is
+annihilated by every form, or some real combination is definite.  An
+annihilated X is reduced face by face (the rank bound of Barvinok and
+Pataki): stepping X along the null directions of the forms compressed to its
+range lowers its rank, and rank one, or two for real forms, is a common
+root.  When the system pins X at one point of higher rank, no root exists,
+and the same solve gives a proven floor on every unit vector's root
+residual.  Only a reduction that stalls with X not unique searches.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ __all__ = [
     "Undecided",
     "CertifyOptions",
     "variational_forms",
-    "definite_combination_search",
     "form_certificate",
     "numeric_common_root",
     "certify_minimizer",
@@ -132,7 +129,6 @@ class Undecided:
 class CertifyOptions:
     pd_tol: float = 1e-8
     root_tol: float = 1e-8
-    def_starts: int = 64
     root_starts: int = 128
     seed: int = 0
 
@@ -172,60 +168,6 @@ def independent_count(forms, rtol: float = 1e-9) -> int:
     return int(np.sum(sv > rtol * sv[0]))
 
 
-def _lambda_min(q):
-    return float(np.linalg.eigvalsh(q)[0])
-
-
-def definite_combination_search(F, opts: CertifyOptions | None = None):
-    """Search for a real combination of the forms that is definite.
-
-    Maximizes ``lambda_min(sum c_j Q_j)`` over the unit sphere of real
-    coefficient vectors by multi-start ascent (the sphere contains -c, so
-    negative definite combinations are found through the same sweep).
-    Returns ``(coeffs, min_eig)`` when the best value clears ``pd_tol``
-    scaled by the largest form norm, else ``None``.
-    """
-    opts = opts or CertifyOptions()
-    forms = F.forms if isinstance(F, HermitianFormSet) else [_hermitize(q) for q in F]
-    nf = len(forms)
-    if nf == 0:
-        return None
-    scale = max((float(np.linalg.norm(q, 2)) for q in forms), default=0.0)
-    if scale == 0.0:
-        return None
-    threshold = opts.pd_tol * scale
-
-    def neg_lmin(c):
-        nc = np.linalg.norm(c)
-        if nc == 0.0:
-            return 0.0
-        combo = sum(cj * q for cj, q in zip(c / nc, forms))
-        return -_lambda_min(combo)
-
-    rng = np.random.default_rng(opts.seed)
-    starts = []
-    for j in range(nf):
-        e = np.zeros(nf)
-        e[j] = 1.0
-        starts.append(e)
-        starts.append(-e)
-    while len(starts) < opts.def_starts:
-        starts.append(rng.standard_normal(nf))
-
-    best_val = -np.inf
-    best_c = None
-    for c0 in starts:
-        res = scipy.optimize.minimize(neg_lmin, c0, method="Nelder-Mead",
-                                      options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_c = res.x / np.linalg.norm(res.x)
-    if best_val > threshold:
-        combo = sum(cj * q for cj, q in zip(best_c, forms))
-        return best_c, _lambda_min(combo)
-    return None
-
-
 def _root(v, Q):
     v = np.asarray(v, dtype=complex)
     return CommonRoot(vector=v, residual=max(abs(float(np.real(v.conj() @ q @ v))) for q in Q))
@@ -244,7 +186,7 @@ def _face(Q, X, scale, rtol):
         lam, W = lam[keep] / np.sum(lam[keep]), vecs[:, keep]
         if lam.size == 1:
             return lam, W
-        sub = matgap.dual_stationarity(np.einsum("ka,jkl,lb->jab", W.conj(), Q, W), scale, rtol)
+        sub = matgap._least_squares_dual(np.einsum("ka,jkl,lb->jab", W.conj(), Q, W), scale, rtol)
         if sub.rank == len(sub.basis):
             return lam, W
         Z = np.einsum("i,ikl->kl", sub.Vt[sub.rank], sub.basis)
@@ -255,87 +197,68 @@ def _face(Q, X, scale, rtol):
 
 def _dual_certificate(forms, scale, rtol, opts):
     """Decide Hermitian forms on C^m (m >= 2) from the dual solve of
-    :func:`rollgap.matgap.dual_stationarity` at tolerance ``rtol * scale``.
+    :func:`rollgap.matgap.dual_stationarity` at tolerance ``rtol * scale``:
 
-    With ``X_0 = I/m + Y_0`` the least-squares solution and r its residual:
-
-    * r above the tolerance: ``-sum r_j Q_j = |r|^2 I``, up to the dropped
-      singular values, is definite;
-    * ``X_0`` not PSD: the minimum-norm c with ``A^T c = y`` gives ``-sum c_j
-      Q_j = ||Y_0||_F^2 I - Y_0``, returned when definite;
-    * ``X_0 >= 0``: :func:`_face` reduces it.  Rank 1 is ``v v^*`` with v a
+    * its definite combination is returned as it stands;
+    * an annihilated ``X >= 0``: :func:`_face` reduces it.  Rank 1 is ``v v^*`` with v a
       common root; for real forms rank 2, ``X = l_1 u_1 u_1^T + l_2 u_2
       u_2^T``, gives the root ``sqrt(l_1) u_1 + i sqrt(l_2) u_2``, since
       ``v^* Q v = <Q, Re v v^*>``;
-    * a full-column-rank system pins X at ``X_0``.  Every unit v has form
+    * a full-column-rank system pins X at ``X_0 = I/m + sum y_i E_i``, the
+      least-squares solution with residual r.  Every unit v has form
       values ``A (y_v - y) - r``, where ``I/m + sum (y_v)_i E_i`` is ``v v^*``
       (its real part for real forms).  No singular value is dropped, so r is
       orthogonal to the range of A and ``sigma_min(A) d / sqrt(n)`` is a
       proven floor on the root residual, with d the least Frobenius distance
-      from ``X_0`` to such a matrix: ``d^2 = 1 - 2 l_max + ||X_0||_F^2`` for
-      complex forms, and ``2 delta^2 + sum_{i >= 3} l_i^2`` with ``delta = (1
-      - l_1 - l_2) / 2`` for real ones (eigenvalues descending).  It is
-      returned as ``Undecided``.
+      from ``X_0`` to such a matrix (a lower bound on it when ``X_0`` is not
+      PSD): ``d^2 = 1 - 2 l_max + ||X_0||_F^2`` for complex forms, and ``2
+      delta^2 + sum_{i >= 3} l_i^2`` with ``delta = (1 - l_1 - l_2) / 2`` for
+      real ones (eigenvalues of ``X_0`` descending).  It is returned as
+      ``Undecided``.
 
-    Only two cases search: a reduction that stalls above rank 1 (2 for real
-    forms) with X not unique runs :func:`numeric_common_root` from X's top
-    eigenvector, and a non-PSD ``X_0`` whose c is not definite runs
-    :func:`definite_combination_search` first.
+    A solve that reaches ``matgap.SPECTRAPLEX_MAX_ITER`` is ``Undecided``
+    with the ``dual_residual`` ``max_j |<Q_j, X>|`` of its last iterate.
+    Only a reduction that stalls above rank 1 (2 for real forms) with X not
+    unique searches: :func:`numeric_common_root` from X's top eigenvector.
     """
-    Q = np.asarray(forms)
-    if not np.any(Q.imag):
-        Q = Q.real
+    Q = matgap._form_array(forms)
     s = matgap.dual_stationarity(Q, scale, rtol)
     stationary, X = s
+
+    def undecided(**found):
+        return Undecided(diagnostics={"m": Q.shape[1], "independent_forms": independent_count(Q),
+                                      **found})
+
+    if s.combination is not None:
+        return DefiniteCombination(*s.combination)
     if not stationary:
-        k = s.rank
-        if np.max(np.abs(s.residual)) > rtol * scale:
-            c = -s.residual
-        else:
-            c = -s.U[:, :k] @ (s.Vt[:k] @ s.y / s.sv[:k])
-        c = c / np.linalg.norm(c)
-        min_eig = _lambda_min(np.einsum("j,jkl->kl", c, Q))
-        if min_eig > 0:
-            return DefiniteCombination(coeffs=c, min_eig=min_eig)
-        found = definite_combination_search(list(Q), opts)
-        if found is not None:
-            return DefiniteCombination(coeffs=found[0], min_eig=found[1])
-        return _searched_root(Q, opts, np.linalg.eigh(X)[1][:, -1])
+        return undecided(dual_residual=float(np.max(np.abs(np.einsum("jkl,lk->j", Q, X).real))))
     lam, W = _face(Q, X, scale, rtol)
     if lam.size == 1:
         return _root(W[:, 0], Q)
     if lam.size == 2 and not np.iscomplexobj(Q):
         return _root(np.sqrt(lam[1]) * W[:, 1] + 1j * np.sqrt(lam[0]) * W[:, 0], Q)
     if s.rank == len(s.basis):
-        ev = np.linalg.eigvalsh(X)[::-1]
+        X0 = np.eye(len(X)) / len(X) + np.einsum("i,ikl->kl", s.y, s.basis)
+        ev = np.linalg.eigvalsh(X0)[::-1]
         if np.iscomplexobj(Q):
             d2 = 1.0 - 2.0 * ev[0] + np.sum(ev * ev)
         else:
             d2 = 0.5 * (1.0 - ev[0] - ev[1]) ** 2 + np.sum(ev[2:] ** 2)
-        floor = s.sv[-1] * np.sqrt(d2) / np.sqrt(len(Q))
-        return Undecided(diagnostics={"m": Q.shape[1], "independent_forms": independent_count(Q),
-                                      "root_residual_floor": float(floor)})
-    return _searched_root(Q, opts, W[:, -1])
-
-
-def _searched_root(Q, opts, start):
+        return undecided(root_residual_floor=float(s.sv[-1] * np.sqrt(d2) / np.sqrt(len(Q))))
     norm = max(float(np.linalg.norm(q, 2)) for q in Q)
     tol = opts.root_tol * max(norm, 1e-300)
-    v, residual = numeric_common_root(Q, opts, tol, start)
+    v, residual = numeric_common_root(Q, opts, tol, W[:, -1])
     if residual <= tol:
         return CommonRoot(vector=v, residual=residual)
-    return Undecided(diagnostics={
-        "m": Q.shape[1],
-        "independent_forms": independent_count(Q),
-        "best_root_residual": residual,
-        "root_tolerance": opts.root_tol * norm,
-    })
+    return undecided(best_root_residual=residual, root_tolerance=opts.root_tol * norm)
 
 
 def form_certificate(forms, opts: CertifyOptions | None = None):
     """Certificate for Hermitian forms on C^m (m >= 2) from one dual solve:
     a unit definite combination, a common root, or ``Undecided`` with a
-    proven ``root_residual_floor`` or the searches' best values; see
+    proven ``root_residual_floor``, the root search's best value, or the
+    ``dual_residual`` of a solve stopped at its iteration cap; see
     :func:`_dual_certificate`.  The tolerance is ``pd_tol`` times the largest
     form norm.  At m = 2 every pair decides.
     """
@@ -416,8 +339,8 @@ def certify_minimizer(B, S: DiagonalScaling, opts: CertifyOptions | None = None)
     clusters are decided by :func:`_dual_certificate`: a definite
     combination, a common root from the face reduction of the dual X, or
     ``Undecided`` with the proven ``root_residual_floor`` (the outcome on the
-    genuine gap examples), the numeric searches running only where the
-    solve cannot decide.
+    genuine gap examples), the root search running only where the face
+    reduction stalls.
     """
     opts = opts or CertifyOptions()
     M = as_matrix(B)

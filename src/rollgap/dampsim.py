@@ -197,18 +197,28 @@ class SimState:
 
 @dataclass
 class SimTrajectory:
+    """Snapshots of a run: row j of Z is the state (u1, u2, y) at times[j]."""
+
     times: np.ndarray
     L2: np.ndarray
     H1: np.ndarray
     energy: np.ndarray
     y: np.ndarray
-    states: list
+    Z: np.ndarray
     blew_up: bool
     blowup_time: float | None
     config: SimConfig
     equivalence: tuple
     deflation_rank: int = 0
     spectral_gap: float | None = None
+
+    @property
+    def states(self):
+        """One :class:`SimState` per snapshot; its vectors are views of Z."""
+        N = self.config.N
+        return [SimState(t=t, u1=z[:N], u2=z[N:2 * N], y=c, L2_norm=l, H1_norm=h, energy=e)
+                for t, z, c, l, h, e in zip(self.times, self.Z, self.y, self.L2, self.H1,
+                                            self.energy)]
 
 
 @dataclass(frozen=True)
@@ -523,14 +533,12 @@ def _initial_state(cfg, u0, y0):
 
 def _snapshots(cfg, sim: UpwindSimulator, times, Z, blowup_time=None) -> SimTrajectory:
     """The trajectory of the states Z (one per row) at ``times``, measured
-    by one call of ``sim.norms``; each state's vectors are views of Z."""
+    by one call of ``sim.norms``."""
     N = cfg.N
-    u1, u2, y = Z[:, :N], Z[:, N:2 * N], Z[:, 2 * N]
-    L2, H1, energy = sim.norms(u1, u2, y)
-    states = [SimState(t=t, u1=a, u2=b, y=c, L2_norm=l, H1_norm=h, energy=e)
-              for t, a, b, c, l, h, e in zip(times, u1, u2, y, L2, H1, energy)]
+    y = Z[:, 2 * N]
+    L2, H1, energy = sim.norms(Z[:, :N], Z[:, N:2 * N], y)
     return SimTrajectory(
-        times=times, L2=L2, H1=H1, energy=energy, y=y, states=states,
+        times=times, L2=L2, H1=H1, energy=energy, y=y, Z=Z,
         blew_up=blowup_time is not None, blowup_time=blowup_time, config=cfg,
         equivalence=sim.equivalence,
     )
@@ -628,8 +636,7 @@ def deflated_run(cfg: SimConfig, u0, y0=0.0, sim: UpwindSimulator | None = None)
     z0 = deflate(_initial_state(cfg, u0, y0))
     traj = run(cfg, np.stack([z0[:N], z0[N:2 * N]]), z0[2 * N], sim=sim)
     if not traj.blew_up:
-        Z = np.array([np.concatenate([s.u1, s.u2, [s.y]]) for s in traj.states])
-        traj = _snapshots(cfg, sim, traj.times, deflate(Z))
+        traj = _snapshots(cfg, sim, traj.times, deflate(traj.Z))
     traj.deflation_rank = V.shape[1]
     traj.spectral_gap = gap
     return traj

@@ -78,6 +78,9 @@ STATIONARY_RTOL = 1e-6
 # the phase search stops once its best value reaches (1 - BOUND_RTOL) times
 # an upper bound: every scaling S gives rho(U B) = rho(U B_S) <= ||B_S||
 BOUND_RTOL = 1e-9
+# iterations of dual_stationarity's projected-gradient solve before it stops
+# undecided; seeded open form sets of m = 3, 4 need at most ~400
+SPECTRAPLEX_MAX_ITER = 2000
 # squared singular values within this fraction of the largest one form the
 # top cluster
 CLUSTER_RTOL = 1e-6
@@ -414,8 +417,9 @@ class DualSolve(tuple):
     least-squares solve it read as attributes: the coordinate ``basis`` of
     the traceless matrices, the SVD ``U, sv, Vt`` of the system matrix
     ``A[j, i] = <Q_j, basis[i]>``, its ``rank`` (singular values above the
-    tolerance), the solution ``y`` (``X = I/m + sum_i y_i basis[i]``) and the
-    ``residual`` ``r_j = -<Q_j, X>``."""
+    tolerance), the solution ``y`` (``X_0 = I/m + sum_i y_i basis[i]``) and
+    the ``residual`` ``r_j = -<Q_j, X_0>``; ``combination`` is a definite
+    ``(c, min_eig)`` (see :class:`rollgap.certify.DefiniteCombination`) or None."""
 
     def __new__(cls, stationary, X, **solve):
         out = super().__new__(cls, (stationary, X))
@@ -423,29 +427,18 @@ class DualSolve(tuple):
         return out
 
 
-def dual_stationarity(forms, mu, rtol=STATIONARY_RTOL):
-    """Decide whether the scaling that produced ``forms`` is a minimizer.
-
-    The squared norm is convex in the logs, and its subdifferential at a
-    scaling is ``{(<Q_j, X>)_j : X >= 0, tr X = 1}`` over the top-cluster
-    forms Q_j (Lewis & Overton, Acta Numerica 1996), so the scaling is a
-    minimizer exactly when some trace-one X >= 0 is annihilated by every
-    form.  The test writes ``X = I/m + Y`` with Y in Frobenius-orthonormal
-    coordinates on the traceless Hermitian matrices (real symmetric ones for
-    real forms), solves ``<Q_j, X> = 0`` by least squares with the rank
-    counted at ``rtol * mu``, and returns the :class:`DualSolve` ``(stationary,
-    X)`` of the minimum-norm solution, the X nearest ``I/m``.  ``stationary``
-    means ``max_j |<Q_j, X>| <= rtol * mu`` and ``lambda_min(X) >= -rtol``.
-    At m = 1 this is the scalar test ``max_j |Q_j| <= rtol * mu``; at m = 2 it
-    is exact, since the trace-one PSD 2x2 matrices are a ball about I/2; at
-    m >= 3 a pass is a proof and a fail means "not verified".
-    """
+def _form_array(forms):
+    """The forms as one array, real when no form has an imaginary part."""
     Q = np.asarray(forms)
-    real = not np.any(Q.imag)
-    if real:
-        Q = Q.real
+    return Q if np.any(Q.imag) else Q.real
+
+
+def _least_squares_dual(forms, mu, rtol):
+    """The least-squares half of :func:`dual_stationarity`: its
+    :class:`DualSolve` for ``X_0``, with no combination."""
+    Q = _form_array(forms)
     m = Q.shape[1]
-    E = _traceless_basis(m, real)
+    E = _traceless_basis(m, not np.iscomplexobj(Q))
     b = -np.trace(Q, axis1=1, axis2=2).real / m
     A = np.einsum("jkl,ilk->ji", Q, E).real
     U, sv, Vt = np.linalg.svd(A)
@@ -455,7 +448,83 @@ def dual_stationarity(forms, mu, rtol=STATIONARY_RTOL):
     r = b - A @ y
     stationary = (float(np.max(np.abs(r))) <= rtol * mu
                   and float(np.linalg.eigvalsh(X)[0]) >= -rtol)
-    return DualSolve(stationary, X, basis=E, U=U, sv=sv, Vt=Vt, rank=k, y=y, residual=r)
+    return DualSolve(stationary, X, basis=E, U=U, sv=sv, Vt=Vt, rank=k, y=y, residual=r,
+                     combination=None)
+
+
+def _spectraplex_projection(X):
+    """Frobenius projection of a Hermitian X onto the trace-one PSD matrices:
+    its eigenvalues go to their Euclidean projection onto the simplex."""
+    lam, W = np.linalg.eigh(X)
+    u = lam[::-1]
+    excess = np.cumsum(u) - 1.0
+    count = np.arange(1, u.size + 1)
+    rho = count[u > excess / count][-1]
+    return (W * np.maximum(lam - excess[rho - 1] / rho, 0.0)) @ W.conj().T
+
+
+def _spectraplex_solve(Q, X0, lipschitz, tol):
+    """Accelerated projected gradient (FISTA) for ``min |a(X)|^2 / 2``, ``a_j =
+    <Q_j, X>``, over the trace-one X >= 0, from the projection of ``X0``, step
+    ``1 / lipschitz``: ``(stationary, X, combination)`` at the first iterate
+    with ``max_j |a_j| <= tol`` or with ``sum_j a_j Q_j`` definite (``a /
+    |a|``), or undecided after ``SPECTRAPLEX_MAX_ITER`` iterates."""
+    X = Z = _spectraplex_projection(X0)
+    t = 1.0
+    for _ in range(SPECTRAPLEX_MAX_ITER):
+        a = np.einsum("jkl,lk->j", Q, X).real
+        if np.max(np.abs(a)) <= tol:
+            return True, X, None
+        c = a / np.linalg.norm(a)
+        min_eig = float(np.linalg.eigvalsh(np.einsum("j,jkl->kl", c, Q))[0])
+        if min_eig > 0:
+            return False, X, (c, min_eig)
+        grad = np.einsum("j,jkl->kl", np.einsum("jkl,lk->j", Q, Z).real, Q)
+        X_next = _spectraplex_projection(Z - grad / lipschitz)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        Z = X_next + ((t - 1.0) / t_next) * (X_next - X)
+        X, t = X_next, t_next
+    return False, X, None
+
+
+def dual_stationarity(forms, mu, rtol=STATIONARY_RTOL):
+    """Decide whether the scaling that produced ``forms`` is a minimizer.
+
+    The squared norm is convex in the logs, and its subdifferential at a
+    scaling is ``{(<Q_j, X>)_j : X >= 0, tr X = 1}`` over the top-cluster
+    forms Q_j (Lewis & Overton, Acta Numerica 1996), so the scaling is a
+    minimizer exactly when some trace-one X >= 0 is annihilated by every
+    form, and otherwise some real combination ``sum_j c_j Q_j`` is positive
+    definite.  The test writes ``X = I/m + Y`` with Y in Frobenius-orthonormal
+    coordinates on the traceless Hermitian matrices (real symmetric ones for
+    real forms) and solves ``<Q_j, X> = 0`` by least squares, rank counted at
+    ``rtol * mu``; ``X_0`` is the minimum-norm solution.  ``stationary``
+    means ``max_j |<Q_j, X>| <= rtol * mu`` and ``lambda_min(X) >= -rtol``.
+    If ``X_0`` fails, an inconsistent residual r gives the combination
+    ``-r``, else the minimum-norm c with ``A^T c = y`` gives ``-sum_j c_j Q_j
+    = |y|^2 I - Y_0`` (definite when ``X_0`` is not PSD at m = 2).  Where
+    neither is definite, :func:`_spectraplex_solve` returns an annihilated X
+    >= 0 or a definite combination: at the optimum ``a*`` of ``min |a(X)|``
+    over the trace-one X >= 0, ``lambda_min(sum_j a*_j Q_j) >= |a*|^2``.
+    Only its cap leaves the test undecided.  Returns the :class:`DualSolve`
+    ``(stationary, X)``.
+    """
+    Q = _form_array(forms)
+    s = _least_squares_dual(Q, mu, rtol)
+    if s[0]:
+        return s
+    k = s.rank
+    if np.max(np.abs(s.residual)) > rtol * mu:
+        c = -s.residual
+    else:
+        c = -s.U[:, :k] @ (s.Vt[:k] @ s.y / s.sv[:k])
+    c = c / np.linalg.norm(c)
+    min_eig = float(np.linalg.eigvalsh(np.einsum("j,jkl->kl", c, Q))[0])
+    if min_eig > 0:
+        s.combination = (c, min_eig)
+        return s
+    stationary, X, s.combination = _spectraplex_solve(Q, s[1], s.sv[0] ** 2, rtol * mu)
+    return DualSolve(stationary, X, **s.__dict__)
 
 
 def min_scaled_norm(B, opts: GapOptions | None = None):

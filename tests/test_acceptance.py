@@ -119,7 +119,7 @@ def test_criterion_05_certification_dichotomy():
             if not (res <= 1e-7 and abs(np.linalg.norm(v) - 1) < 1e-10):
                 bad_reverify += 1
     pauli = mg.pauli_like_forms()
-    no_def = cf.definite_combination_search(pauli) is None
+    no_def = cf.form_certificate(pauli).kind == "undecided"
     floor = cf.form_certificate(pauli).diagnostics["root_residual_floor"]
     conds = {
         "zero undecided": undecided == 0,

@@ -146,29 +146,115 @@ def test_variational_forms_sum_zero_generic():
 
 
 # ---------------------------------------------------------------------------
-# definite combination search
+# definite combinations
 # ---------------------------------------------------------------------------
 
 
 def test_definite_combination_identity_form():
-    out = cf.definite_combination_search([np.eye(2, dtype=complex)])
-    assert out is not None
-    coeffs, min_eig = out
-    assert min_eig == pytest.approx(1.0, abs=1e-6)
+    cert = cf.form_certificate([np.eye(2, dtype=complex)])
+    assert cert.kind == "definite-combination"
+    assert cert.min_eig == pytest.approx(1.0, abs=1e-6)
 
 
 def test_definite_combination_pauli_none():
-    assert cf.definite_combination_search(mg.pauli_like_forms()) is None
+    assert cf.form_certificate(mg.pauli_like_forms()).kind == "undecided"
 
 
 def test_definite_combination_second_form_works():
     forms = [np.diag([1.0, -1.0]).astype(complex), np.eye(2, dtype=complex)]
-    out = cf.definite_combination_search(forms)
-    assert out is not None
-    coeffs, min_eig = out
-    combo = coeffs[0] * forms[0] + coeffs[1] * forms[1]
-    assert np.linalg.eigvalsh(combo)[0] >= min_eig - 1e-12
-    assert min_eig > 0
+    cert = cf.form_certificate(forms)
+    assert cert.kind == "definite-combination"
+    combo = cert.coeffs[0] * forms[0] + cert.coeffs[1] * forms[1]
+    assert np.linalg.eigvalsh(combo)[0] >= cert.min_eig - 1e-12
+    assert cert.min_eig > 0
+
+
+def case1_form_sets(count, seed=1):
+    """Seeded random form sets (m = 3, 4; one to five forms; real and
+    complex) that the least-squares dual solve leaves open: its residual is
+    consistent, ``X_0 = I/m + Y_0`` is not PSD, and the closed-form
+    combination, definite exactly when ``lambda_max(Y_0) < |y|^2``, is not.
+    Yields ``(forms, scale)`` with scale the largest form norm."""
+    rng = np.random.default_rng(seed)
+    found = 0
+    while found < count:
+        m = int(rng.integers(3, 5))
+        count_forms = int(rng.integers(1, 6))
+        complex_forms = bool(rng.integers(0, 2))
+        forms = []
+        for _ in range(count_forms):
+            a = rng.standard_normal((m, m))
+            if complex_forms:
+                a = a + 1j * rng.standard_normal((m, m))
+            forms.append((a + a.conj().T) / 2 + rng.standard_normal() * np.eye(m))
+        scale = max(np.linalg.norm(q, 2) for q in forms)
+        s = mg.dual_stationarity(forms, scale)
+        Y0 = np.einsum("i,ikl->kl", s.y, s.basis)
+        if (np.max(np.abs(s.residual)) <= mg.STATIONARY_RTOL * scale
+                and np.linalg.eigvalsh(np.eye(m) / m + Y0)[0] < -mg.STATIONARY_RTOL
+                and np.linalg.eigvalsh(Y0)[-1] >= s.y @ s.y):
+            found += 1
+            yield forms, scale
+
+
+def test_case1_definite_without_search(optimizer_calls):
+    # the fourth open set (five real forms on C^4) ends with a definite
+    # combination: no optimizer runs, and the combination re-verifies
+    forms, _ = list(case1_form_sets(4))[3]
+    cert = cf.form_certificate(forms)
+    assert not optimizer_calls
+    assert cert.kind == "definite-combination"
+    combo = np.einsum("j,jkl->kl", cert.coeffs, np.array(forms))
+    assert 0 < cert.min_eig <= np.linalg.eigvalsh(combo)[0] + 1e-12
+
+
+def test_case1_feasible_is_stationary():
+    # X_0 is not PSD, yet the projected-gradient solve finds an annihilated
+    # trace-one X >= 0
+    forms, scale = next(case1_form_sets(1))
+    stationary, X = mg.dual_stationarity(forms, scale)
+    assert stationary
+    assert np.linalg.eigvalsh(X)[0] >= -1e-12
+    assert abs(np.trace(X) - 1.0) < 1e-12
+    values = np.einsum("jkl,lk->j", np.array(forms), X).real
+    assert np.max(np.abs(values)) <= mg.STATIONARY_RTOL * scale
+
+
+def test_spectraplex_solve_cap_is_undecided(monkeypatch):
+    # one iteration decides none of the first open sets, which certify then
+    # reports with the residual of the last iterate
+    monkeypatch.setattr(mg, "SPECTRAPLEX_MAX_ITER", 1)
+    for forms, scale in case1_form_sets(3):
+        cert = cf.form_certificate(forms)
+        assert cert.kind == "undecided"
+        assert cert.diagnostics["dual_residual"] > cf.CertifyOptions().pd_tol * scale
+
+
+def test_case1_oracle():
+    # every open set decides; each combination re-verifies, each stationary
+    # X is an annihilated trace-one X >= 0, and then no sampled unit
+    # combination is positive definite
+    rng = np.random.default_rng(3)
+    kinds = {"stationary": 0, "definite": 0}
+    for forms, scale in case1_form_sets(100):
+        Q = np.array(forms)
+        s = mg.dual_stationarity(Q, scale)
+        stationary, X = s
+        if stationary:
+            kinds["stationary"] += 1
+            assert s.combination is None
+            assert np.linalg.eigvalsh(X)[0] >= -1e-12 and abs(np.trace(X) - 1.0) < 1e-12
+            values = np.einsum("jkl,lk->j", Q, X).real
+            assert np.max(np.abs(values)) <= mg.STATIONARY_RTOL * scale
+            c = rng.standard_normal((500, len(Q)))
+            c /= np.linalg.norm(c, axis=1)[:, None]
+            assert np.max(np.linalg.eigvalsh(np.einsum("pj,jkl->pkl", c, Q))[:, 0]) <= 0
+        else:
+            kinds["definite"] += 1
+            c, min_eig = s.combination
+            assert abs(np.linalg.norm(c) - 1.0) < 1e-12
+            assert 0 < min_eig <= np.linalg.eigvalsh(np.einsum("j,jkl->kl", c, Q))[0] + 1e-12
+    assert min(kinds.values()) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +498,11 @@ def test_certify_consistency_with_phase_search():
 def test_forms_r3_five_properties():
     forms = cf.forms_r3_five()
     assert cf.independent_count(forms) == 5
-    assert cf.definite_combination_search(forms) is None
     # the forms pin X at I/3, at squared distance 2 (1/6)^2 + (1/3)^2 = 1/6
     # from the trace-one rank-two matrices; with sigma_min(A) = 1 the floor is
     # sqrt(1/6) / sqrt(5) = 1/sqrt(30)
     cert = cf.form_certificate(forms)
+    assert cert.kind == "undecided"
     floor = cert.diagnostics["root_residual_floor"]
     assert abs(floor - 1.0 / np.sqrt(30.0)) < 1e-12
     assert floor > 0.01

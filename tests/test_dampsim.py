@@ -474,10 +474,6 @@ def test_real_deflation_stays_real(setup_f3):
         assert isinstance(s.y, np.float64)
 
 
-def _states(traj):
-    return np.array([np.concatenate([s.u1, s.u2, [s.y]]) for s in traj.states])
-
-
 def _energies(sim, Z):
     N = sim.cfg.N
     return np.array([sim.norms(z[:N], z[N:2 * N], z[2 * N])[2] for z in Z])
@@ -499,17 +495,17 @@ def test_deflation_is_a_trajectory_of_the_scheme(setup_f3, forced):
     _, _, V, Wh = ds.slow_family(sim)
     z0 = np.concatenate([u0[0], u0[1], [y0]])
     z0 = z0 - (V @ (Wh @ z0)).real
-    ref = _states(ds.run(base, np.stack([z0[:N], z0[N:2 * N]]), z0[2 * N], sim=sim))
+    ref = ds.run(base, np.stack([z0[:N], z0[N:2 * N]]), z0[2 * N], sim=sim).Z
     if forced:
         cfg = ds.SimConfig(profile=p, cd=cd, weights=w, N=N, t_end=10.0, n_outputs=50,
                            forcing_G=lambda t: np.array([0.3 * np.cos(t), -0.2]))
         fsim = ds.setup(cfg)
-        got = (_states(ds.deflated_run(cfg, u0, y0, sim=fsim))
-               - _states(ds.deflated_run(cfg, np.zeros((2, N)), sim=fsim)))
+        got = (ds.deflated_run(cfg, u0, y0, sim=fsim).Z
+               - ds.deflated_run(cfg, np.zeros((2, N)), sim=fsim).Z)
     else:
         traj = ds.deflated_run(base, u0, y0, sim=sim)
         assert traj.deflation_rank == 3
-        got = _states(traj)
+        got = traj.Z
     e_ref = _energies(sim, ref)
     assert np.max(np.abs(_energies(sim, got) - e_ref) / e_ref) < 1e-8
 

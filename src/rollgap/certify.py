@@ -316,19 +316,6 @@ def numeric_common_root(forms, opts: CertifyOptions | None = None, tol: float = 
     return best_v, best_res
 
 
-def _reconstruct_phases(BS, r):
-    """Diagonal phases with U (B_S r) = ||B_S|| r, valid at a common root."""
-    norm = matgap.op_norm(ComplexMatrix(BS))
-    Br = BS @ r
-    n = BS.shape[0]
-    u = np.ones(n, dtype=complex)
-    for j in range(n):
-        if abs(Br[j]) > 1e-14 * max(norm, 1.0):
-            u[j] = norm * r[j] / Br[j]
-            u[j] /= abs(u[j])
-    return PhaseVector.from_angles(np.angle(u))
-
-
 def certify_minimizer(B, S: DiagonalScaling, opts: CertifyOptions | None = None):
     """Certify a candidate scaling via the restricted variational forms.
 
@@ -346,11 +333,12 @@ def certify_minimizer(B, S: DiagonalScaling, opts: CertifyOptions | None = None)
     M = as_matrix(B)
     F = variational_forms(M, S)
     BS = matgap.scale(M, S).entries
-    mu = matgap.op_norm(ComplexMatrix(BS)) ** 2
+    norm = matgap.op_norm(ComplexMatrix(BS))
+    mu = norm ** 2
 
     def rooted(root, residual):
         return CommonRoot(vector=root, residual=residual,
-                          phases=_reconstruct_phases(BS, F.basis @ root))
+                          phases=matgap._reconstruct_phases(BS, F.basis @ root, norm))
 
     if F.m == 1:
         stationary, _ = matgap.dual_stationarity(F.forms, mu)

@@ -154,9 +154,9 @@ def _as_B(B):
 
 
 def hf_rat(B, opts: GapOptions | None = None) -> float:
-    """Spectral-side condition value: ``max_U rho(U B)`` (stable iff < 1)."""
-    value, _, _ = matgap.max_phase_rho(_as_B(B), opts)
-    return value
+    """Spectral-side condition value: ``max_U rho(U B)`` (stable iff < 1),
+    the ``max_rho`` of :func:`rollgap.matgap.gap`."""
+    return matgap.gap(_as_B(B), opts).max_rho
 
 
 def hf_sat(B, opts: GapOptions | None = None) -> float:
@@ -192,7 +192,7 @@ def sample_ulem(d: GeneralModeData, B=None, a_grid=(0.0, 0.5, 1.0, 2.0, 5.0, 20.
         moduli[: d.m] = np.exp(-a * d.tau[: d.m])
         moduli[d.m:] = np.exp(a * d.tau[d.m:])
         Ba0 = moduli[:, None] * Bmat
-        rho_a, _, _ = matgap.max_phase_rho(Ba0, opts)
+        rho_a = matgap.gap(Ba0, opts).max_rho
         zetas = rng.uniform(0.0, 200.0 * 2.0 * np.pi / max(np.min(np.abs(d.tau)), 1e-12),
                             size=zeta_count)
         phis = np.linspace(0.0, 2.0 * np.pi, xi_count, endpoint=False)

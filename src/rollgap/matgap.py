@@ -84,6 +84,10 @@ SPECTRAPLEX_MAX_ITER = 2000
 # squared singular values within this fraction of the largest one form the
 # top cluster
 CLUSTER_RTOL = 1e-6
+# the scaling anneal stops after a stage whose iterate has mu_1 - mu_2 above
+# this many temperatures: the surrogate and its gradient then equal mu_1's to
+# exp(-40), below rounding, so lower temperatures repeat the same minimization
+SEPARATION_TEMPERATURES = 40.0
 # |y^* x| of the unit left/right top eigenvectors below which the top
 # eigenvalue is treated as defective and its phase gradient as zero.  Rounding
 # splits a defective double eigenvalue into a pair with |y^* x| of order
@@ -534,10 +538,15 @@ def min_scaled_norm(B, opts: GapOptions | None = None):
     lowers the temperature of a log-sum-exp smoothing of the squared-norm
     objective toward zero inside the box ``|t_j| <= log_bound``; the log-norm
     is convex in the logs (Sezginer & Overton, IEEE TAC 1990), so further
-    starts buy nothing.  ``multiplicity`` is the size of the top singular
-    cluster, and ``converged`` means that no log hit the box edge (which
-    would mean the infimum is approached only along diverging scalings) and
-    that :func:`dual_stationarity` holds at the returned scaling.
+    starts buy nothing.  The anneal stops after the first stage whose
+    iterate separates the top two squared singular values by more than
+    ``SEPARATION_TEMPERATURES`` times its temperature: there the surrogate
+    is mu_1 to rounding, mu_1 is smooth, and a local minimum of a convex
+    function is the global one.  ``multiplicity`` is the size of the top
+    singular cluster, and ``converged`` means that no log hit the box edge
+    (which would mean the infimum is approached only along diverging
+    scalings) and that :func:`dual_stationarity` holds at the returned
+    scaling.
     """
     opts = opts or GapOptions()
     M = as_matrix(B)
@@ -565,10 +574,13 @@ def min_scaled_norm(B, opts: GapOptions | None = None):
             fun, t, jac=True, method="L-BFGS-B", bounds=bounds,
             options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-12},
         ).x
+        tfull = np.concatenate(([0.0], t))
+        BS = _scaled(A, tfull)
+        sv = np.linalg.svd(BS, compute_uv=False)
+        if sv[0] ** 2 - sv[1] ** 2 > SEPARATION_TEMPERATURES * tau:
+            break
 
-    tfull = np.concatenate(([0.0], t))
-    BS = _scaled(A, tfull)
-    value = op_norm(ComplexMatrix(BS))
+    value = sv[0]
     V, forms = top_cluster_forms(BS)
     bound_hit = bool(np.any(np.abs(tfull) >= bound - 1e-9))
     converged = not bound_hit and dual_stationarity(forms, value * value)[0]
@@ -610,6 +622,25 @@ def _rho_value_grad(A, tf):
     if r == 0.0 or abs(s) < _DEFECTIVE_FLOOR:
         return r, np.zeros(tf.size)
     return r, -r * np.imag(yx[1:] / s)
+
+
+def _reconstruct_phases(BS, r, norm):
+    """Diagonal phases with ``U (B_S r) = norm r`` in every coordinate where
+    ``(B_S r)_j`` is above ``1e-14 max(norm, 1)`` and the quotient
+    ``norm r_j / (B_S r)_j`` is nonzero, angle 0 elsewhere.  At a
+    unit r with ``|(B_S r)_j| = norm |r_j|`` for all j, a top right singular
+    vector of a simple top singular value or a common root of the
+    first-variation forms, norm ``= ||B_S||`` is an eigenvalue of ``U B_S``,
+    so ``rho(U B) = rho(U B_S) = ||B_S||``."""
+    Br = BS @ r
+    n = BS.shape[0]
+    u = np.ones(n, dtype=complex)
+    for j in range(n):
+        if abs(Br[j]) > 1e-14 * max(norm, 1.0):
+            w = norm * r[j] / Br[j]
+            if w != 0:
+                u[j] = w / abs(w)
+    return PhaseVector.from_angles(np.angle(u))
 
 
 class PhaseMax(tuple):
@@ -702,12 +733,38 @@ def max_phase_rho(B, opts: GapOptions | None = None, bound: float | None = None)
 # ---------------------------------------------------------------------------
 
 
+def _singular_pair_phase(A, S, norm):
+    """The phase answer read off the top singular pair of ``B_S``: the
+    :class:`PhaseMax` of the phases with ``U B_S v = norm v`` for the top
+    right singular vector v, with 0 ascents, or None when its spectral
+    radius falls short of ``norm * (1 - BOUND_RTOL)``, the stop rule of
+    :func:`max_phase_rho`.  At a minimizing S with a simple top singular
+    value its forms have the root 1, so the radius reaches ``norm``."""
+    BS = _scaled(A, S.logs)
+    v = np.linalg.svd(BS)[2][0].conj()
+    U = _reconstruct_phases(BS, v, norm)
+    value, g = _rho_value_grad(A, U.angles[1:])
+    if value < norm * (1.0 - BOUND_RTOL):
+        return None
+    return PhaseMax(value, U, bool(np.all(np.abs(g) <= STATIONARY_RTOL * value)), 0)
+
+
 def gap(B, opts: GapOptions | None = None) -> GapReport:
-    """Run both searches and package the results."""
+    """Run both searches and package the results.
+
+    The phase answer is first read off the top singular pair of the
+    minimizing ``B_S`` (:func:`_singular_pair_phase`, one SVD and one
+    eigen-solve); it stands when it reaches the scaled-norm bound, as it
+    does at every minimizer with a simple top singular value, and then
+    ``restarts_used`` is 0.  Otherwise :func:`max_phase_rho` runs, bounded
+    by the scaled norm.
+    """
     opts = opts or GapOptions()
     M = as_matrix(B)
     inf_norm, S, mult, conv_s = min_scaled_norm(M, opts)
-    phase = max_phase_rho(M, opts, bound=inf_norm)
+    phase = _singular_pair_phase(M.entries, S, inf_norm)
+    if phase is None:
+        phase = max_phase_rho(M, opts, bound=inf_norm)
     max_rho, U, conv_u = phase
     g = inf_norm - max_rho
     rel = g / inf_norm if inf_norm > 0 else 0.0

@@ -129,6 +129,33 @@ def test_min_scaled_norm_c4_identity_minimizer():
     assert conv
 
 
+def test_min_scaled_norm_separation_stop_on_scaled_normal_matrix(monkeypatch):
+    # B = D^-1 N D with N normal: S = D gives S B S^-1 = N, whose norm rho(N)
+    # is a lower bound for every scaling, so the logs of D minimize; distinct
+    # eigenvalue moduli separate the top singular value, and the anneal
+    # stops before its last temperature
+    minimize = mg.scipy.optimize.minimize
+    stages = []
+
+    def counting(*args, **kwargs):
+        stages.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(mg.scipy.optimize, "minimize", counting)
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4, 5):
+        Q, _ = np.linalg.qr(rand_complex(rng, n))
+        lam = np.linspace(1.0, 0.2, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        N = (Q * lam) @ Q.conj().T
+        d = np.exp(rng.uniform(-1.0, 1.0, n))
+        stages.clear()
+        v, S, mult, conv = mg.min_scaled_norm(N * (d[None, :] / d[:, None]))
+        assert v == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(S.logs, np.log(d) - np.log(d[0]), atol=1e-6)
+        assert mult == 1 and conv
+        assert len(stages) < 6
+
+
 def test_max_phase_rho_identity_matrix():
     v, U, conv = mg.max_phase_rho(np.eye(3))
     assert v == pytest.approx(1.0, abs=1e-10)
@@ -247,12 +274,58 @@ def test_phase_search_bound_reached_at_identity_runs_no_ascent():
 
 
 def test_gap_restarts_used_counts_ascents_run():
+    # the singular-pair phases answer a complex 3x3 matrix with no ascent
     rng = np.random.default_rng(1)
-    assert mg.gap(rand_complex(rng, 3)).restarts_used == 1
+    assert mg.gap(rand_complex(rng, 3)).restarts_used == 0
     B, _, _ = mg.counterexample_c4()
     opts = mg.GapOptions(restarts=16)
     assert mg.gap(B, opts).restarts_used == 16
     assert mg.gap([[2.0]]).restarts_used == 0
+
+
+def test_gap_singular_pair_phases_reach_phase_maximum():
+    # at a simple top singular value of the minimizing B_S the phases with
+    # U B_S v = ||B_S|| v attain the maximum, which no ascent improves on
+    rng = np.random.default_rng(21)
+    complex_reps = [(B, mg.gap(B)) for B in (rand_complex(rng, 3) for _ in range(20))]
+    real_reps = [(B, mg.gap(B)) for B in (rng.standard_normal((4, 4)) / 2.0 for _ in range(8))]
+    assert all(rep.top_multiplicity == 1 for _, rep in complex_reps)
+    real_reps = [(B, rep) for B, rep in real_reps if rep.top_multiplicity == 1]
+    assert len(real_reps) >= 3
+    for B, rep in complex_reps + real_reps:
+        assert rep.restarts_used == 0 and rep.converged_U
+        assert rep.max_rho >= mg.max_phase_rho(B, bound=np.inf)[0] * (1.0 - mg.BOUND_RTOL)
+
+
+def test_gap_falls_back_to_phase_search_when_singular_pair_misses(monkeypatch):
+    rng = np.random.default_rng(1)
+    B = rand_complex(rng, 3)
+    opts = mg.GapOptions()
+    expected = mg.max_phase_rho(B, opts, bound=mg.min_scaled_norm(B, opts)[0])
+    monkeypatch.setattr(mg, "_reconstruct_phases",
+                        lambda BS, r, norm: mg.PhaseVector.identity(len(r)))
+    rep = mg.gap(B, opts)
+    assert rep.restarts_used == expected.ascents >= 1
+    assert rep.max_rho == expected[0]
+    assert np.array_equal(rep.argmax_U.angles, expected[1].angles)
+    assert rep.converged_U == expected[2]
+
+
+def test_gap_reports_phase_search_at_multiple_top_singular_value():
+    # c4 has a gap, and a real m = 2 minimizer's top singular vector is no
+    # common root: both take max_phase_rho's report as it stands
+    rng = np.random.default_rng(13)
+    real = next(A for A in (rng.standard_normal((3, 3)) / np.sqrt(3) for _ in range(60))
+                if mg.min_scaled_norm(A)[2] == 2)
+    opts = mg.GapOptions(restarts=16)
+    for B in (mg.counterexample_c4()[0], real):
+        rep = mg.gap(B, opts)
+        phase = mg.max_phase_rho(B, opts, bound=rep.inf_norm)
+        assert rep.top_multiplicity == 2
+        assert rep.restarts_used == phase.ascents >= 1
+        assert rep.max_rho == phase[0]
+        assert np.array_equal(rep.argmax_U.angles, phase[1].angles)
+        assert rep.converged_U == phase[2]
 
 
 def test_gap_normal_matrix_zero():

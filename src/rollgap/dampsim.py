@@ -265,19 +265,28 @@ STEP_BLOCK = 8  # steps in the sparse block map M^k - I of large unforced states
 # 0.56 s to form and 0.16 s of products against 0.62 s of sparse stepping,
 # N = 1024 7.2 s to form against 2.7 s (one BLAS thread)
 DENSE_BLOCK_MAX = 513
+# Fill at which the powers forming a dense block map switch from sparse to
+# dense products.  At N = 256, t_end = 60 the block then forms in 63 ms
+# instead of 85 ms powered dense from the start (one BLAS thread); 0.05 and
+# 0.2 took 64 and 84 ms
+DENSE_FILL = 0.1
 
 
-def _power_minus_identity(P, k):
-    """M^k - I from P = M - I by binary powering with the identity kept out:
-    a squaring is (M^j)^2 - I = 2P + P^2 and a product of two powers is
-    M^i M^j - I = S + P + S P.  P is a sparse or a dense array."""
+def _power_minus_identity(P, k, dense=False):
+    """M^k - I from the sparse P = M - I by binary powering with the identity
+    kept out: a squaring is (M^j)^2 - I = 2P + P^2 and a product of two
+    powers is M^i M^j - I = S + P + S P.  With ``dense`` the result is a
+    dense array: the powers stay sparse until one is ``DENSE_FILL`` full,
+    and from there on the products are dense."""
     S = None
     while True:
+        if dense and scipy.sparse.issparse(P) and P.nnz > DENSE_FILL * P.shape[0] ** 2:
+            P = P.toarray()
         if k & 1:
             S = P if S is None else S + P + S @ P
         k >>= 1
         if not k:
-            return S
+            return S.toarray() if dense and scipy.sparse.issparse(S) else S
         P = 2.0 * P + P @ P
 
 
@@ -316,7 +325,7 @@ class UpwindSimulator:
         self.a2_f = f.alpha2_h(h_f)
         self.a2_f[self.i_sonic] = 0.0  # exact sonic interface
         Mc = f.coupling_matrix_h(h)
-        slope = f._slope(h)
+        slope = p.slope(h)
         c1 = f.dalpha1_dh(h) * slope - Mc[:, 0, 0]
         c2 = f.dalpha2_dh(h) * slope - Mc[:, 1, 1]
         b1, b2 = Mc[:, 0, 1], Mc[:, 1, 0]
@@ -454,8 +463,8 @@ class UpwindSimulator:
                         else divmod(m, self.block_steps))
         if blocks:
             if self.block is None:
-                B = self.increment.toarray() if self._dense_block else self.increment
-                self.block = _power_minus_identity(B, self.block_steps)
+                self.block = _power_minus_identity(self.increment, self.block_steps,
+                                                   dense=self._dense_block)
             for _ in range(blocks):
                 z = z + self.block @ z
         # t stays behind after the blocks: only forced steps read it

@@ -17,7 +17,9 @@ whose numerator and denominator vanish together at the sonic height
 ``q = 1/F`` and ``c = 1 + 1/F``, and smooth profiles exist exactly for
 ``F > 2``.  The remaining freedom is the wave amplitude, exposed through the
 downstream shock height ``h_plus``; the upstream height follows from the
-momentum jump condition ``h_+ h_- (h_+ + h_-) = 2 q^2 F^2``.
+momentum jump condition ``h_+ h_- (h_+ + h_-) = 2 q^2 F^2``.  At ``h_s = 1``
+the factor ``h - 1`` cancels from the numerator and the denominator, and the
+profile is a closed form (see :class:`RollWaveProfile`).
 
 Linearizing about the wave and diagonalizing by the eigenvectors of
 ``A_0^{-1} A`` produces two scalar transport modes with speeds
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import (
     InvalidInputError,
@@ -127,45 +128,123 @@ def _min_admissible_height(F, c, q):
     return x * x
 
 
+# heights at which x(h) is tabulated for the starting guess of h_of_x
+_INVERSE_NODES = 32
+# Newton on x(h) = x stops one step after its steps fall below this share of
+# h - h_min, the distance to the pole of x(h), plus two units in the last
+# place of h: near h_min the spacing of the floats is the finer bound
+_NEWTON_STEP_RTOL = 1e-9
+_NEWTON_MAX_STEPS = 50
+
+
+def _log_ratio(ratio, ratio_minus_one):
+    """log(ratio) from whichever argument is accurate: log1p of ratio - 1,
+    except where the ratio is below 1/2, as at heights near h_min, where
+    ratio - 1 has lost the ratio's leading digits."""
+    return np.where(ratio_minus_one < -0.5, np.log(ratio), np.log1p(ratio_minus_one))
+
+
 class RollWaveProfile:
     """One periodic cell of a roll wave, shock at the cell ends.
 
     Height increases from ``h_plus`` at 0+ through the sonic height at
     ``x_s`` to ``h_minus`` at X-; the sampled grid always contains 0, x_s and
-    X.  ``h_of_x`` evaluates the profile anywhere in [0, X] from the dense
-    output of the two sonic-launched integrations.
+    X.  At h_s = 1 the sonic factor h - 1 cancels from the profile equation:
+
+        dh/dx = F^2 (h - r_1)(h - r_2) / (h^2 + h + 1),
+
+    with r_1 = h_min > r_2 = q^2/r_1 the roots of h^2 + (1 - c^2) h + q^2
+    (:meth:`slope`).  Its inverse dx/dh integrates by partial fractions
+    (:meth:`x_of_h`), and :meth:`h_of_x` inverts that monotone closed form by
+    Newton's method.
     """
 
-    def __init__(self, model, c, q, h_s, x_s, X, grid, h_samples, h_plus, h_minus,
-                 sol_left, sol_right):
+    def __init__(self, model, c, q, h_min, h_plus, h_minus):
         self.model = model
         self.c = c
         self.q = q
-        self.h_s = h_s
-        self.x_s = x_s
-        self.X = X
-        self.grid = grid
-        self.h_samples = h_samples
-        self.U_samples = c - q / h_samples if h_samples is not None else None
+        self.h_s = 1.0
         self.h_plus = h_plus
         self.h_minus = h_minus
-        self._sol_left = sol_left
-        self._sol_right = sol_right
+        self._F2 = model.froude**2
+        self._r1 = h_min
+        self._r2 = q * q / h_min
+        # r_1 - r_2, the square root of the discriminant (c^2 - 1)^2 - 4 q^2
+        d = q * np.sqrt(q * (4.0 + q))
+        self._A = (c * c * h_min + 1.0 - q * q) / d
+        # factors of the two ratios in x(h) and of their excess over 1
+        self._k1 = d / (1.0 - h_min)
+        self._k2 = 1.0 / (1.0 - self._r2)
+        self._k3 = (1.0 - self._r2) / (1.0 - h_min)
+        self.x_s = -float(self._from_sonic(h_plus))
+        self.X = float(self.x_of_h(h_minus))
+        # x(h) at heights spaced geometrically in h - h_min, where x(h) has
+        # its logarithmic pole, with the sonic height among them
+        h = h_min + (h_plus - h_min) * ((h_minus - h_min) / (h_plus - h_min)) ** np.linspace(
+            0.0, 1.0, _INVERSE_NODES)
+        h[0], h[-1] = h_plus, h_minus
+        self._table_h = np.unique(np.append(h, 1.0))
+        self._table_x = self.x_of_h(self._table_h)
+        self.grid = None
+        self.h_samples = None
+        self.U_samples = None
+
+    def slope(self, h):
+        """dh/dx at the heights h."""
+        return self._F2 * (h - self._r1) * (h - self._r2) / (h * (h + 1.0) + 1.0)
+
+    def _from_sonic(self, h):
+        """x(h) - x_s in closed form.
+
+        dx/dh = (1 + c^2 / (h - r_2) + A d / ((h - r_1)(h - r_2))) / F^2 with
+        d = r_1 - r_2 and A = (c^2 r_1 + 1 - q^2)/d, so with s = h - 1
+
+            F^2 (x - x_s) = s + c^2 log1p(s / (1 - r_2))
+                            + A log1p(d s / ((1 - r_1)(h - r_2))).
+
+        This is the partial-fraction sum over 1/(h - r_1) and 1/(h - r_2)
+        with its two logarithms combined; each term has the sign of s, so
+        the sum does not cancel.  The logarithms are those of
+        (h - r_2)/(1 - r_2) and (h - r_1)(1 - r_2)/((1 - r_1)(h - r_2)),
+        each taken by :func:`_log_ratio`.
+        """
+        s = h - 1.0
+        r2 = self._r2
+        return (s + self.c * self.c * _log_ratio(self._k2 * (h - r2), self._k2 * s)
+                + self._A * _log_ratio(self._k3 * (h - self._r1) / (h - r2),
+                                       self._k1 * s / (h - r2))) / self._F2
+
+    def x_of_h(self, h):
+        """The position on the cell of the heights h in [h_plus, h_minus]."""
+        return self.x_s + self._from_sonic(h)
 
     def h_of_x(self, x):
+        """The height at the points x of [0, X] (clipped to it).
+
+        Newton's method on x(h) = x, from linear interpolation in a table of
+        x(h), with each iterate clipped to [h_plus, h_minus].  It stops one
+        step after every step is below ``_NEWTON_STEP_RTOL`` (h - h_min) plus
+        two units in the last place of h, or at once when every step is zero
+        (as where x is a table point), and raises :class:`NumericalError` if
+        that takes more than ``_NEWTON_MAX_STEPS`` steps.
+        """
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(np.clip(x, 0.0, self.X))
-        out = np.empty_like(x)
-        left = x <= self.x_s
-        if np.any(left):
-            out[left] = self._sol_left.sol(x[left])[0]
-        if np.any(~left):
-            out[~left] = self._sol_right.sol(x[~left])[0]
-        return float(out[0]) if scalar else out
+        h = np.interp(x, self._table_x, self._table_h)
+        last = False
+        for _ in range(_NEWTON_MAX_STEPS):
+            step = (self.x_of_h(h) - x) * self.slope(h)
+            h = np.clip(h - step, self.h_plus, self.h_minus)
+            if last or not step.any():
+                return float(h[0]) if scalar else h
+            last = bool(np.all(np.abs(step) <= _NEWTON_STEP_RTOL * (h - self._r1)
+                               + 2.0 * np.spacing(h)))
+        raise NumericalError(
+            f"profile inversion did not converge in {_NEWTON_MAX_STEPS} Newton steps")
 
     def rankine_hugoniot_residual(self):
-        """Jump of f - c f0 across the shock, from the integrated end states."""
+        """Jump of f - c f0 across the shock, from the end states."""
         hl = self.h_of_x(self.X)
         hr = self.h_of_x(0.0)
         m = self.model
@@ -176,68 +255,7 @@ class RollWaveProfile:
         return res
 
 
-def _profile_rates(F, c, q):
-    """Numerator, denominator and their h-derivatives for the profile slope."""
-
-    def N(h):
-        return h - (c - q / h) ** 2
-
-    def D(h):
-        return h / F**2 - q * q / (h * h)
-
-    def Np(h):
-        U = c - q / h
-        return 1.0 - 2.0 * U * q / (h * h)
-
-    def Dp(h):
-        return 1.0 / F**2 + 2.0 * q * q / h**3
-
-    def Npp(h):
-        U = c - q / h
-        return 4.0 * U * q / h**3 - 2.0 * q * q / h**4
-
-    def Dpp(h):
-        return -6.0 * q * q / h**4
-
-    def Nppp(h):
-        U = c - q / h
-        return 12.0 * q * q / h**5 - 12.0 * U * q / h**4
-
-    def Dppp(h):
-        return 24.0 * q * q / h**5
-
-    return N, D, Np, Dp, Npp, Dpp, Nppp, Dppp
-
-
-def _make_slope(F, c, q, h_s, taylor_halfwidth=1e-4):
-    """dh/dx as a function of h, with the 0/0 at the sonic height replaced by
-    the ratio of Taylor expansions (third order, so the patch error is far
-    below integrator tolerance)."""
-    N, D, Np, Dp, Npp, Dpp, Nppp, Dppp = _profile_rates(F, c, q)
-
-    def slope(h):
-        arr = np.atleast_1d(np.asarray(h, dtype=float))
-        eps = arr - h_s
-        near = np.abs(eps) < taylor_halfwidth
-        out = np.empty_like(arr)
-        if np.any(~near):
-            hh = arr[~near]
-            out[~near] = N(hh) / D(hh)
-        if np.any(near):
-            e = eps[near]
-            num = Np(h_s) + Npp(h_s) * e / 2.0 + Nppp(h_s) * e * e / 6.0
-            den = Dp(h_s) + Dpp(h_s) * e / 2.0 + Dppp(h_s) * e * e / 6.0
-            out[near] = num / den
-        return float(out[0]) if np.ndim(h) == 0 else out
-
-    def inv_slope(h):
-        return 1.0 / slope(h)
-
-    return slope, inv_slope
-
-
-def build_profile(F, normalization="h_s", h_plus=None, amplitude=0.5,
-                  n_grid=800, rtol=1e-12, atol=1e-14):
+def build_profile(F, normalization="h_s", h_plus=None, amplitude=0.5, n_grid=800):
     """Construct a roll-wave profile at Froude number F with h_s = 1.
 
     ``h_plus`` in (h_min, 1) selects the member of the one-parameter wave
@@ -255,7 +273,6 @@ def build_profile(F, normalization="h_s", h_plus=None, amplitude=0.5,
             f"no single-shock periodic wave at F = {F}: need F > 2 for a "
             "positive slope through the sonic point"
         )
-    h_s = 1.0
     q = 1.0 / F
     c = 1.0 + 1.0 / F
     h_min = _min_admissible_height(F, c, q)
@@ -271,40 +288,19 @@ def build_profile(F, normalization="h_s", h_plus=None, amplitude=0.5,
     rhs = 2.0 * q * q * F * F
     h_minus = (-h_plus**2 + np.sqrt(h_plus**4 + 4.0 * rhs * h_plus)) / (2.0 * h_plus)
 
-    slope, inv_slope = _make_slope(F, c, q, h_s)
-
-    # cell length and sonic position by quadrature of dx/dh (smooth integrand)
-    x_s, err1 = quad(inv_slope, h_plus, h_s, epsabs=1e-14, epsrel=1e-13, limit=200)
-    x_rest, err2 = quad(inv_slope, h_s, h_minus, epsabs=1e-14, epsrel=1e-13, limit=200)
-    X = x_s + x_rest
-    if not (np.isfinite(X) and X > 0 and x_s > 0) or err1 + err2 > 1e-9 * X:
-        raise NumericalError("profile quadrature failed")
-
-    def rhs_ode(x, y):
-        return slope(y)
-
-    try:
-        sol_left = solve_ivp(rhs_ode, (x_s, 0.0), [h_s], method="DOP853",
-                             dense_output=True, rtol=rtol, atol=atol)
-        sol_right = solve_ivp(rhs_ode, (x_s, X), [h_s], method="DOP853",
-                              dense_output=True, rtol=rtol, atol=atol)
-    except Exception as exc:  # pragma: no cover - integrator blowup
-        raise NumericalError("profile integration failed") from exc
-    if not (sol_left.success and sol_right.success):
-        raise NumericalError("profile integration did not converge")
+    profile = RollWaveProfile(model=SVModel(float(F)), c=c, q=q, h_min=h_min,
+                              h_plus=h_plus, h_minus=h_minus)
+    x_s, X = profile.x_s, profile.X
+    if not (np.isfinite(X) and X > 0 and x_s > 0):
+        raise NumericalError("profile cell length is not finite and positive")
 
     n_left = max(2, int(round(n_grid * x_s / X)))
     n_right = max(2, n_grid - n_left)
-    grid = np.concatenate([
+    profile.grid = np.concatenate([
         np.linspace(0.0, x_s, n_left + 1),
         np.linspace(x_s, X, n_right + 1)[1:],
     ])
-    profile = RollWaveProfile(
-        model=SVModel(float(F)), c=c, q=q, h_s=h_s, x_s=x_s, X=X,
-        grid=grid, h_samples=None, h_plus=h_plus, h_minus=h_minus,
-        sol_left=sol_left, sol_right=sol_right,
-    )
-    profile.h_samples = profile.h_of_x(grid)
+    profile.h_samples = profile.h_of_x(profile.grid)
     profile.U_samples = c - q / profile.h_samples
 
     res = profile.rankine_hugoniot_residual()
@@ -336,7 +332,6 @@ class SVCharacteristicFields:
         self._F = F
         self._c = profile.c
         self._q = profile.q
-        self._slope, _ = _make_slope(F, profile.c, profile.q, profile.h_s)
 
     # -- pointwise in h ----------------------------------------------------
 
@@ -361,7 +356,7 @@ class SVCharacteristicFields:
         return self.profile.h_of_x(x)
 
     def hprime(self, x):
-        return self._slope(np.asarray(self.profile.h_of_x(x)))
+        return self.profile.slope(np.asarray(self.profile.h_of_x(x)))
 
     def alpha1(self, x):
         return self.alpha1_h(np.asarray(self.profile.h_of_x(x)))
@@ -371,11 +366,11 @@ class SVCharacteristicFields:
 
     def alpha1_prime(self, x):
         h = np.asarray(self.profile.h_of_x(x))
-        return self.dalpha1_dh(h) * self._slope(h)
+        return self.dalpha1_dh(h) * self.profile.slope(h)
 
     def alpha2_prime(self, x):
         h = np.asarray(self.profile.h_of_x(x))
-        return self.dalpha2_dh(h) * self._slope(h)
+        return self.dalpha2_dh(h) * self.profile.slope(h)
 
     def T_matrix(self, x):
         """Eigenvector matrix, columns (-F sqrt(h), 1) and (F sqrt(h), 1)."""
@@ -397,7 +392,7 @@ class SVCharacteristicFields:
         """:meth:`coupling_matrix` at given heights (a 1-d array)."""
         F, c, q = self._F, self._c, self._q
         U = c - q / h
-        hp = self._slope(h)
+        hp = self.profile.slope(h)
         sq = np.sqrt(h)
         phi = F * sq
         dU = q / h**2
@@ -528,7 +523,7 @@ class CharacteristicData:
         a1 = f.alpha1_h(h)
         a2 = f.alpha2_h(h)
         M = f.coupling_matrix_h(h)
-        rate = (f.dalpha2_dh(h) * f._slope(h) - self.alpha2_prime_xs
+        rate = (f.dalpha2_dh(h) * f.profile.slope(h) - self.alpha2_prime_xs
                 + 2.0 * (M[..., 1, 1] - self.gamma2_xs))
         sonic = np.divide(rate, a2, out=np.zeros_like(a2), where=a2 != 0)
         return np.stack([M[..., 0, 0] / a1, 1.0 / np.abs(a1), sonic])
@@ -574,7 +569,7 @@ def characteristics(p: RollWaveProfile) -> CharacteristicData:
     """
     fields = SVCharacteristicFields(p)
     x, h = p.grid, p.h_samples
-    Mc = fields.coupling_matrix(x)
+    Mc = fields.coupling_matrix_h(h)
     a2p = float(fields.alpha2_prime(p.x_s))
     if not a2p > 0:
         raise StructuralAssumptionError("alpha_2 must cross zero with positive slope")

@@ -288,6 +288,24 @@ def test_block_is_formed_on_first_advance(setup_f3):
         assert sim.block is block
 
 
+def test_dense_block_from_sparse_squarings(setup_f3, monkeypatch):
+    # the first squarings of a dense block stay sparse; the block equals the
+    # one powered dense from the start, real and Floquet
+    p, cd, w = setup_f3
+    products = []
+    matmul = scipy.sparse.csr_array.__matmul__
+    monkeypatch.setattr(scipy.sparse.csr_array, "__matmul__",
+                        lambda a, b: products.append(1) or matmul(a, b))
+    for N, extra in ((64, {}), (128, {}), (256, {}), (128, {"floquet_xi": 0.7})):
+        sim = ds.setup(ds.SimConfig(profile=p, cd=cd, weights=w, N=N, t_end=60.0, **extra))
+        del products[:]
+        B = ds._power_minus_identity(sim.increment, sim.block_steps, dense=True)
+        assert products
+        ref = ds._power_minus_identity(sim.increment.toarray(), sim.block_steps)
+        assert isinstance(B, np.ndarray) and B.dtype == sim.dtype
+        assert np.max(np.abs(B - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
 def test_run_times_accumulate_dt_step_by_step(setup_f3):
     # snapshot times are the sums t += dt of a step-by-step loop, bit for bit
     p, cd, w = setup_f3

@@ -1,5 +1,6 @@
 """Tests for roll-wave profiles, characteristic data and stability index."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -43,14 +44,100 @@ def test_profile_rankine_hugoniot(profile):
     assert np.max(np.abs(res)) < 1e-8
 
 
+def _mp_profile(F, amplitude, xs):
+    """Independent oracle at 30 digits: x_s, X and the heights at xs from
+    mpmath quadrature of dx/dh = D(h)/N(h) in the un-cancelled form, with
+    N = h - (c - q/h)^2 and D = h/F^2 - q^2/h^2, and root finding on x(h)."""
+    with mp.workdps(30):
+        F = mp.mpf(F)
+        q = 1 / F
+        c = 1 + q
+        # h_min = x^2 with x the middle root of x^3 - c x^2 + q, N = 0 in sqrt(h)
+        h_min = sorted(mp.re(r) for r in mp.polyroots([1, -c, 0, q]))[1] ** 2
+        h_plus = 1 - amplitude * (1 - h_min)
+        h_minus = mp.findroot(lambda h: h_plus * h * (h_plus + h) - 2, 2 - h_plus)
+
+        def rate(h):
+            # 0/0 only where a node rounds onto the sonic height; its
+            # tanh-sinh weight is below the working precision
+            if h == 1:
+                return mp.mpf(0)
+            with mp.workdps(60):
+                return (h / F**2 - q**2 / h**2) / (h - (c - q / h) ** 2)
+
+        def from_sonic(h):
+            return mp.quad(rate, [1, h])
+
+        x_s = -from_sonic(h_plus)
+        X = x_s + from_sonic(h_minus)
+        hs = [h_plus if x <= 0 else h_minus if x >= X else
+              mp.findroot(lambda h: x_s + from_sonic(h) - x, (h_plus, h_minus),
+                          solver="anderson")
+              for x in (mp.mpf(float(v)) for v in xs)]
+        return float(x_s), float(X), np.array([float(h) for h in hs])
+
+
 def test_profile_against_independent_integration(profile):
-    # oracle: re-integrate with a different method and much finer control
     p = profile
-    p2 = rw.build_profile(3.0, n_grid=2000, rtol=1e-10, atol=1e-12)
-    assert p2.X == pytest.approx(p.X, abs=1e-9)
-    assert p2.x_s == pytest.approx(p.x_s, abs=1e-9)
     xs = np.linspace(0.0, p.X, 41)
-    assert np.max(np.abs(p.h_of_x(xs) - p2.h_of_x(xs))) < 1e-8
+    x_s, X, h = _mp_profile(3.0, 0.5, xs)
+    assert p.x_s == pytest.approx(x_s, abs=1e-11)
+    assert p.X == pytest.approx(X, abs=1e-11)
+    assert np.max(np.abs(p.h_of_x(xs) - h)) < 1e-11
+
+
+def test_near_onset_maximal_wave_matches_oracle():
+    # next to the onset F = 2 and to the largest amplitude: h_plus - h_min is
+    # ~7e-7, and its rounding bounds the agreement of x_s and X (X ~ 7.6)
+    p = rw.build_profile(2.001, amplitude=0.999)
+    xs = np.linspace(0.0, p.X, 11)
+    x_s, X, h = _mp_profile(2.001, 0.999, xs)
+    assert p.x_s == pytest.approx(x_s, rel=1e-11)
+    assert p.X == pytest.approx(X, rel=1e-11)
+    assert np.max(np.abs(p.h_of_x(xs) - h)) < 1e-11
+
+
+CLOSED_FORM_FROUDE = (2.01, 2.1, 3.0, 10.0, 40.0, 1000.0)
+
+
+@pytest.mark.parametrize("F", CLOSED_FORM_FROUDE)
+def test_slope_is_the_uncancelled_ratio(F):
+    p = rw.build_profile(F, n_grid=50)
+    h = np.linspace(p.h_plus, p.h_minus, 201)
+    h = h[np.abs(h - 1.0) >= 1e-3]
+    with mp.workdps(30):
+        q, c = 1 / mp.mpf(F), 1 + 1 / mp.mpf(F)
+        ratio = np.array([float((v - (c - q / v) ** 2) / (v / mp.mpf(F) ** 2 - q**2 / v**2))
+                          for v in map(mp.mpf, h)])
+    np.testing.assert_allclose(p.slope(h), ratio, rtol=1e-13, atol=0.0)
+    # the value behind criterion 7's alpha_2'(x_s) = (F - 2)/2
+    assert p.slope(1.0) == pytest.approx(F * (F - 2.0) / 3.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("F", CLOSED_FORM_FROUDE)
+def test_h_of_x_inverts_x_of_h(F):
+    p = rw.build_profile(F, n_grid=50)
+    assert p.h_of_x(0.0) == p.h_plus
+    assert p.h_of_x(p.x_s) == 1.0
+    assert p.h_of_x(p.X) == p.h_minus
+    xs = np.linspace(0.0, p.X, 1001)
+    assert np.max(np.abs(p.x_of_h(p.h_of_x(xs)) - xs)) < 1e-13 * p.X
+
+
+@pytest.mark.parametrize("F", (2.0001, 2.01, 1e6))
+def test_waves_next_to_the_largest_amplitude_build(F):
+    # h_plus - h_min is 1e-6 (1 - h_min), down to ~1e-12 near F = 2: there
+    # the spacing of the floats, not the pole, bounds the Newton steps
+    p = rw.build_profile(F, amplitude=1.0 - 1e-6)
+    assert p.h_of_x(0.0) == p.h_plus and p.h_of_x(p.X) == p.h_minus
+    assert np.all(np.diff(p.h_of_x(np.linspace(0.0, p.X, 2001))) >= 0)
+
+
+def test_profile_inversion_that_cannot_converge_raises(monkeypatch):
+    slope = rw.RollWaveProfile.slope
+    monkeypatch.setattr(rw.RollWaveProfile, "slope", lambda self, h: 3.0 * slope(self, h))
+    with pytest.raises(NumericalError, match="Newton"):
+        rw.build_profile(3.0)
 
 
 def test_profile_momentum_jump_closure(profile):

@@ -30,7 +30,6 @@ no model-specific profile construction beyond Saint-Venant lives here.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,10 +81,10 @@ class GeneralModeData:
             raise InvalidInputError("tau and g must have length n-1")
         if self.coupling.shape != (k, k):
             raise InvalidInputError("coupling matrix must be (n-1) x (n-1)")
-        tau = self.tau.tolist()
-        if not all(map(math.isfinite, tau + self.g.tolist() + self.coupling.ravel().tolist())):
+        if not (np.all(np.isfinite(self.tau)) and np.all(np.isfinite(self.g))
+                and np.all(np.isfinite(self.coupling))):
             raise InvalidInputError("mode data must be finite")
-        if any(t <= 0 for t in tau[: self.m]) or any(t >= 0 for t in tau[self.m:]):
+        if np.any(self.tau[: self.m] <= 0) or np.any(self.tau[self.m:] >= 0):
             raise InvalidInputError(
                 "transit times must be positive for the first m modes and "
                 "negative for the rest"
@@ -143,7 +142,10 @@ def from_sv_profile(profile, cd) -> GeneralModeData:
 
 def build_B(d: GeneralModeData) -> BoundaryMatrix:
     """Dress the Lopatinsky matrix with the zeroth-order transit factors."""
-    diag = np.exp(np.concatenate((-d.g[: d.m], d.g[d.m:])))
+    k = d.n - 1
+    diag = np.empty(k)
+    diag[: d.m] = np.exp(-d.g[: d.m])
+    diag[d.m:] = np.exp(d.g[d.m:])
     return BoundaryMatrix(B=diag[:, None] * d.coupling)
 
 
@@ -258,26 +260,20 @@ def general_weights(d: GeneralModeData, S: DiagonalScaling, k: int) -> GeneralWe
     kk = d.n - 1
     if S.n != kk:
         raise InvalidInputError("scaling size must be n - 1")
-    s = S.s
-    s2 = s**2
-    sigmas = s2.copy()
-    sigmas[: d.m] *= np.exp(-2.0 * d.g[: d.m])
+    s2 = S.s**2
+    sigmas = np.empty(kk)
+    sigmas[: d.m] = s2[: d.m] * np.exp(-2.0 * d.g[: d.m])
+    sigmas[d.m:] = s2[d.m:]
     weights = [
-        ModeWeight(mode=j + 1, sigma=sigma, power=2 * k - 1, transit_g=g)
-        for j, (sigma, g) in enumerate(zip(sigmas.tolist(), d.g.tolist()))
+        ModeWeight(mode=j + 1, sigma=float(sigmas[j]), power=2 * k - 1,
+                   transit_g=float(d.g[j]))
+        for j in range(kk)
     ]
     Bmat = build_B(d).B
-    if kk == 1:
-        # one transverse mode: S B S^{-1} = B and the form is s^2 (1 - b^2),
-        # so there is no eigenvalue problem to solve
-        b = float(Bmat[0, 0])
-        min_eig = float(s2[0]) * (1.0 - b * b)
-        scaled_norm = abs(b)
-    else:
-        form = np.diag(s2) - Bmat.T @ (s2[:, None] * Bmat)
-        min_eig = float(np.linalg.eigvalsh(0.5 * (form + form.T))[0])
-        # S B S^{-1} has entries B_jk s_j / s_k
-        scaled_norm = float(np.linalg.norm(Bmat * (s[:, None] / s), 2))
+    form = np.diag(s2) - Bmat.T @ np.diag(s2) @ Bmat
+    min_eig = float(np.linalg.eigvalsh(0.5 * (form + form.T))[0])
+    Smat = np.diag(S.s)
+    scaled_norm = float(np.linalg.norm(Smat @ Bmat @ np.linalg.inv(Smat), 2))
     return GeneralWeights(
         k=k, weights=weights, boundary_form_min_eig=min_eig,
         scaled_norm=scaled_norm,

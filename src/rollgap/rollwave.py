@@ -244,12 +244,14 @@ class RollWaveProfile:
             f"profile inversion did not converge in {_NEWTON_MAX_STEPS} Newton steps")
 
     def rankine_hugoniot_residual(self):
-        """Jump of f - c f0 across the shock, from the end states."""
-        hl = self.h_of_x(self.X)
-        hr = self.h_of_x(0.0)
+        """Jump of f - c f0 across the shock between h_minus and h_plus.
+
+        This checks the jump closure of the shock pair that ``build_profile``
+        chose; the end heights are the pair itself, not integrated values.
+        """
         m = self.model
         res = np.zeros(2)
-        for sgn, h in ((1.0, hr), (-1.0, hl)):
+        for sgn, h in ((1.0, self.h_plus), (-1.0, self.h_minus)):
             U = self.c - self.q / h
             res += sgn * (m.f(h, U) - self.c * m.f0(h, U))
         return res

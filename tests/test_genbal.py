@@ -187,22 +187,6 @@ def test_general_weights_boundary_form_equivalence():
         assert (gw.boundary_form_min_eig > 0) == (gw.scaled_norm < 1.0)
 
 
-def test_general_weights_match_the_boundary_form_spectrum():
-    # the single-mode shortcut and the matrix path both give the least
-    # eigenvalue of S^2 - B^T S^2 B and the 2-norm of S B S^{-1}
-    rng = np.random.default_rng(8)
-    for k in (1, 1, 2, 3):
-        d = make_data(rng, k + 1, int(rng.integers(0, k + 1)))
-        S = mg.DiagonalScaling.from_s(np.exp(rng.uniform(-1, 1, k)))
-        B, Sm = gb.build_B(d).B, np.diag(S.s)
-        gw = gb.general_weights(d, S, 1)
-        form = Sm @ Sm - B.T @ Sm @ Sm @ B
-        assert gw.boundary_form_min_eig == pytest.approx(
-            np.linalg.eigvalsh(form)[0], rel=1e-12, abs=1e-14)
-        assert gw.scaled_norm == pytest.approx(
-            np.linalg.norm(Sm @ B @ np.linalg.inv(Sm), 2), rel=1e-12)
-
-
 def test_general_weights_from_argmin_scaling():
     rng = np.random.default_rng(6)
     d = make_data(rng, 4, 1)
